@@ -1,9 +1,10 @@
 """Exact construction and machine verification of the subconstituent algebra of Odd graphs."""
 
-from .combinatorics import IntersectionRange, SubsetIndex, binomial, intersection_range
+from .combinatorics import SubsetIndex, binomial, intersection_range
 from .errors import (
     ClosureDivergenceError,
     FormulaError,
+    GraphStructureError,
     OddTerwError,
     ParameterError,
     ShapeError,
@@ -27,19 +28,17 @@ from .intersection import (
     product_expansion_term,
     product_formula_failures,
 )
-from .oddgraph import OddGraph, expected_block_factors, verify_adjacency_blocks, verify_reassembly
+from .oddgraph import OddGraph, expected_block_factors, verify_adjacency_blocks
 from .report import CheckResult, VerificationReport, load_report_schema
 from .terwilliger import (
     BlockGenerator,
     ClosureResult,
-    basis_block_elements,
     block_generators,
     block_generators_by_parity,
     closure,
     dimension_formula,
     generator_span,
     membership_family_cases,
-    product_chain_membership,
     verify_closure_in_generator_span,
     verify_generator_basis,
     verify_generators_in_closure,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import OddTerwError, ParameterError
-from .exactmat import DEFAULT_PRIMES, is_prime, write_matrix_market
+from .exactmat import DEFAULT_PRIMES, field_name, is_prime, write_matrix_market
 from .intersection import product_formula_failures
 from .oddgraph import DEFAULT_MAX_M, OddGraph, verify_adjacency_blocks
 from .report import FAIL, SKIPPED, CheckResult, VerificationReport
@@ -40,6 +40,9 @@ from .terwilliger import (
 CHECK_NAMES = ("products", "blocks", "closure", "containment", "memberships", "basis", "dimension")
 CLOSURE_CHECKS = {"closure", "containment", "memberships", "basis"}
 DEFAULT_SWEEP_MAX = 7
+#: Sweeping above this ground size needs --allow-large: v = 9 alone takes
+#: tens of seconds, and the cost grows super-exponentially.
+SWEEP_MAX_CEILING = 8
 DIMENSION_IDENTITY_MAX = 200
 
 
@@ -76,6 +79,10 @@ class RunConfig:
             raise ParameterError(f"m={self.m} exceeds the supported ceiling {DEFAULT_MAX_M}")
         if self.jobs < 1:
             raise ParameterError("jobs must be at least 1")
+        if self.sweep_max < 0:
+            raise ParameterError("--sweep-max must be at least 0")
+        if self.sweep_max > SWEEP_MAX_CEILING and not self.allow_large:
+            raise ParameterError(f"--sweep-max above {SWEEP_MAX_CEILING} needs --allow-large")
         closure_cap = DEFAULT_MAX_M if self.allow_large else DEFAULT_CLOSURE_MAX_M
         if self.needs_closure and self.m > closure_cap:
             raise ParameterError(
@@ -103,20 +110,8 @@ class RunConfig:
         return out
 
 
-def _field_name(prime: int | None) -> str:
-    return "exact" if prime is None else f"gf({prime})"
-
-
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    result.ms = int((time.perf_counter() - t0) * 1000)
-    return result
-
-
 def _check_products(config: RunConfig) -> CheckResult:
     vs = sorted(set(range(config.sweep_max + 1)) | {config.m, config.m + 1})
-    t0 = time.perf_counter()
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             chunks = pool.map(product_formula_failures, vs)
@@ -125,32 +120,26 @@ def _check_products(config: RunConfig) -> CheckResult:
         witnesses = [w for v in vs for w in product_formula_failures(v)]
     # jobs is an execution knob, not part of the report: reports must be a
     # function of (m, checks, primes, exact) alone, timings aside
-    result = CheckResult.from_witnesses("products", witnesses, params={"ground_sizes": vs})
-    result.ms = int((time.perf_counter() - t0) * 1000)
-    return result
+    return CheckResult.from_witnesses("products", witnesses, params={"ground_sizes": vs})
 
 
 def _check_dimension(config: RunConfig) -> CheckResult:
-    t0 = time.perf_counter()
     witnesses = []
     for m in sorted(set(range(1, DIMENSION_IDENTITY_MAX + 1)) | {config.m}):
         try:
             dimension_formula(m)
         except OddTerwError as exc:
             witnesses.append({"kind": "identity_mismatch", "m": m, "detail": str(exc)})
-    result = CheckResult.from_witnesses(
+    return CheckResult.from_witnesses(
         "dimension",
         witnesses,
         params={"checked_up_to": max(DIMENSION_IDENTITY_MAX, config.m)},
     )
-    result.ms = int((time.perf_counter() - t0) * 1000)
-    return result
 
 
 def _check_closure_dimensions(config: RunConfig, closures: dict) -> CheckResult:
-    t0 = time.perf_counter()
     witnesses = []
-    dims = {_field_name(p): clo.dimension for p, clo in closures.items()}
+    dims = {field_name(p): clo.dimension for p, clo in closures.items()}
     expected = dimension_formula(config.m).binomial
     if len(set(dims.values())) > 1:
         witnesses.append({"kind": "dimension_disagreement", "dims": dims})
@@ -159,11 +148,9 @@ def _check_closure_dimensions(config: RunConfig, closures: dict) -> CheckResult:
             witnesses.append(
                 {"kind": "closure_dimension_mismatch", "field": name, "dim": d, "expected": expected}
             )
-    result = CheckResult.from_witnesses(
+    return CheckResult.from_witnesses(
         "closure", witnesses, params={"dims": dims, "dimension": expected}
     )
-    result.ms = int((time.perf_counter() - t0) * 1000)
-    return result
 
 
 def run_verify(config: RunConfig) -> VerificationReport:
@@ -173,6 +160,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
     failing check with an "internal" witness instead of propagating, and
     the checks that needed the lost result are reported as skipped.
     """
+
+    def timed(name: str, check, *args) -> CheckResult:
+        t0 = time.perf_counter()
+        result = check(*args)
+        result.name = name
+        result.ms = int((time.perf_counter() - t0) * 1000)
+        return result
+
     graph = OddGraph(config.m) if config.needs_graph else None
     gens = block_generators(config.m) if config.needs_closure else None
     closures = {}
@@ -197,35 +192,30 @@ def run_verify(config: RunConfig) -> VerificationReport:
                 CheckResult(name=name, status=SKIPPED, params={"reason": "closure computation failed"})
             )
         elif name == "products":
-            checks.append(_check_products(config))
+            checks.append(timed("products", _check_products, config))
         elif name == "blocks":
-            result = _timed(verify_adjacency_blocks, graph)
-            result.name = "blocks"
-            checks.append(result)
+            checks.append(timed("blocks", verify_adjacency_blocks, graph))
         elif name == "dimension":
-            checks.append(_check_dimension(config))
+            checks.append(timed("dimension", _check_dimension, config))
         elif name == "closure":
-            checks.append(_check_closure_dimensions(config, closures))
+            checks.append(timed("closure", _check_closure_dimensions, config, closures))
         elif name == "containment":
             for prime, clo in closures.items():
-                result = _timed(verify_closure_in_generator_span, graph, clo, gens)
-                result.name = f"containment-closure-in-span[{_field_name(prime)}]"
-                checks.append(result)
-                result = _timed(verify_generators_in_closure, graph, clo, gens)
-                result.name = f"containment-span-in-closure[{_field_name(prime)}]"
-                checks.append(result)
+                field = field_name(prime)
+                checks.append(timed(f"containment-closure-in-span[{field}]",
+                                    verify_closure_in_generator_span, graph, clo, gens))
+                checks.append(timed(f"containment-span-in-closure[{field}]",
+                                    verify_generators_in_closure, graph, clo, gens))
         elif name == "memberships":
             for prime, clo in closures.items():
-                result = _timed(verify_membership_families, graph, clo)
-                result.name = f"memberships[{_field_name(prime)}]"
-                checks.append(result)
+                checks.append(timed(f"memberships[{field_name(prime)}]",
+                                    verify_membership_families, graph, clo))
         elif name == "basis":
             for prime, clo in closures.items():
-                result = _timed(verify_generator_basis, graph, clo, gens)
-                result.name = f"basis[{_field_name(prime)}]"
-                checks.append(result)
+                checks.append(timed(f"basis[{field_name(prime)}]",
+                                    verify_generator_basis, graph, clo, gens))
 
-    field_desc = "+".join(_field_name(p) for p in config.fields)
+    field_desc = "+".join(field_name(p) for p in config.fields)
     return VerificationReport(m=config.m, field=field_desc, checks=checks)
 
 

@@ -67,29 +67,10 @@ class SubsetIndex:
         return sorted(itertools.combinations(range(self.n), self.k), key=lambda s: s[::-1])
 
 
-@dataclass(frozen=True)
-class IntersectionRange:
-    """Closed interval of feasible |y ∩ z| for an i-subset y and j-subset z of a v-set."""
+def intersection_range(i: int, j: int, v: int) -> range:
+    """Feasible |y ∩ z| for an i-subset y and a j-subset z of a v-set.
 
-    i: int
-    j: int
-    v: int
-    lo: int
-    hi: int
-
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1 if self.hi >= self.lo else 0
-
-    def __iter__(self):
-        return iter(range(self.lo, self.hi + 1))
-
-    def __contains__(self, g) -> bool:
-        return self.lo <= g <= self.hi
-
-
-def intersection_range(i: int, j: int, v: int) -> IntersectionRange:
-    """Feasible intersection sizes [max(0, i+j-v), min(i, j)].
-
-    Nonempty for every 0 <= i, j <= v.
+    The range runs from max(0, i+j-v) to min(i, j); it is nonempty for
+    every 0 <= i, j <= v.
     """
-    return IntersectionRange(i, j, v, max(0, i + j - v), min(i, j))
+    return range(max(0, i + j - v), min(i, j) + 1)

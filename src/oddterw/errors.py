@@ -23,3 +23,7 @@ class ClosureDivergenceError(OddTerwError, RuntimeError):
 
 class FormulaError(OddTerwError, ArithmeticError):
     """A counting identity that must hold numerically failed to hold."""
+
+
+class GraphStructureError(OddTerwError, RuntimeError):
+    """A constructed graph failed its own structural cross-check (BFS, degree, size)."""

@@ -238,6 +238,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def field_name(prime: int | None) -> str:
+    """Report label of the field: "gf(<prime>)", or "exact" for the rationals (prime None)."""
+    return "exact" if prime is None else f"gf({prime})"
+
+
 class MatrixSpace:
     """Linear span of matrices of one shape, kept as a reduced echelon basis.
 
@@ -261,7 +266,7 @@ class MatrixSpace:
 
     @property
     def field_name(self) -> str:
-        return "exact" if self.prime is None else f"gf({self.prime})"
+        return field_name(self.prime)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from bisect import bisect_right
 from itertools import combinations
 
 from .combinatorics import SubsetIndex, binomial
-from .errors import ParameterError, ShapeError
+from .errors import GraphStructureError, ParameterError, ShapeError
 from .exactmat import IntMatrix, kron
 from .intersection import intersection_matrix
 from .report import CheckResult
@@ -31,6 +31,18 @@ BlockRef = tuple[int, int]
 #: Building above this m is refused unless the caller raises the ceiling;
 #: C(13, 6) = 1716 vertices is the largest size built by default tooling.
 DEFAULT_MAX_M = 6
+
+
+def part_sizes(m: int, d: int) -> tuple[int, int]:
+    """Sizes of (vertex ∩ x, vertex \\ x) for the vertices of distance class d.
+
+    These two sizes fix both Kronecker factor shapes of every block that
+    touches class d.
+    """
+    i = d // 2
+    if d % 2 == 0:
+        return m - i, i
+    return i, m - i
 
 
 class OddGraph:
@@ -49,7 +61,7 @@ class OddGraph:
         self._class_sizes: list[int] = []
         for d in range(m + 1):
             self.class_offsets.append(len(self.vertices))
-            inside, outside = self._part_sizes(d)
+            inside, outside = part_sizes(m, d)
             inside_index = SubsetIndex(m, inside)
             outside_index = SubsetIndex(m + 1, outside)
             for alpha in inside_index.subsets():
@@ -66,13 +78,6 @@ class OddGraph:
         ]
         self._check_structure()
 
-    def _part_sizes(self, d: int) -> tuple[int, int]:
-        # Sizes of (vertex ∩ x, vertex \ x) for distance class d.
-        i = d // 2
-        if d % 2 == 0:
-            return self.m - i, i
-        return i, self.m - i
-
     def _complement(self, y) -> tuple[int, ...]:
         ys = set(y)
         return tuple(e for e in range(self.ground_size) if e not in ys)
@@ -81,16 +86,16 @@ class OddGraph:
         # The class assignment comes from intersection sizes with x; BFS from
         # x is the independent cross-check, along with regularity and diameter.
         if self.num_vertices != binomial(self.ground_size, self.m):
-            raise RuntimeError("vertex count mismatch")
+            raise GraphStructureError("vertex count mismatch")
         degree = self.m + 1
         if any(len(nbrs) != degree for nbrs in self._neighbors):
-            raise RuntimeError("graph is not (m+1)-regular")
+            raise GraphStructureError("graph is not (m+1)-regular")
         dist = self.bfs_distances()
         if max(dist) != self.diameter:
-            raise RuntimeError("BFS diameter mismatch")
+            raise GraphStructureError("BFS diameter mismatch")
         for idx in range(self.num_vertices):
             if dist[idx] != self.class_of(idx):
-                raise RuntimeError(f"class/BFS mismatch at vertex {idx}")
+                raise GraphStructureError(f"class/BFS mismatch at vertex {idx}")
 
     # -- structure queries ---------------------------------------------------
 
@@ -107,19 +112,8 @@ class OddGraph:
     def class_of(self, vertex_index: int) -> int:
         return bisect_right(self.class_offsets, vertex_index) - 1
 
-    def distance_class(self, y) -> int:
-        """Distance from x of any m-subset, read off |x ∩ y|."""
-        c = len(set(y) & set(self.x))
-        even = 2 * (self.m - c)
-        if even <= self.m:
-            return even
-        return 2 * c + 1
-
     def vertex_index(self, y) -> int:
         return self._index[tuple(sorted(y))]
-
-    def neighbors(self, vertex_index: int) -> list[int]:
-        return list(self._neighbors[vertex_index])
 
     def bfs_distances(self) -> list[int]:
         dist = [-1] * self.num_vertices
@@ -136,14 +130,12 @@ class OddGraph:
                         nxt.append(w)
             frontier = nxt
         if min(dist) < 0:
-            raise RuntimeError("graph is not connected")
+            raise GraphStructureError("graph is not connected")
         return dist
 
     def admissible_blocks(self) -> list[BlockRef]:
         """Blocks (i, j) where the adjacency matrix may be nonzero."""
-        out = [(i, j) for i in range(self.m + 1) for j in range(self.m + 1) if abs(i - j) == 1]
-        out.append((self.m, self.m))
-        return sorted(out)
+        return [(i, j) for i in range(self.m + 1) for j in self.adjacent_classes(i)]
 
     def adjacent_classes(self, d: int) -> list[int]:
         """Classes r with (r, d) an admissible adjacency block."""
@@ -225,25 +217,15 @@ class OddGraph:
 def expected_block_factors(m: int, block: BlockRef) -> tuple[IntMatrix, IntMatrix] | None:
     """The Kronecker factors the adjacency block must equal, or None for zero blocks.
 
-    Nonzero blocks are (2i, 2i+1), (2i+1, 2i+2), the middle diagonal block
-    (m, m), and their transposes.
+    Two vertices are adjacent when both their parts inside x and outside x
+    are disjoint, so the block is kron(H(a, b, 0, m), H(u, w, 0, m+1)) for
+    the part sizes (a, u) and (b, w) of the two classes; it vanishes when no
+    such disjoint pair fits.
     """
-    bi, bj = block
-    if bi > bj:
-        swapped = expected_block_factors(m, (bj, bi))
-        if swapped is None:
-            return None
-        return swapped[0].transpose(), swapped[1].transpose()
-    if bi == bj == m:
-        h, c = m // 2, m - m // 2
-        return intersection_matrix(h, h, 0, m), intersection_matrix(c, c, 0, m + 1)
-    if bj != bi + 1:
+    (a, u), (b, w) = part_sizes(m, block[0]), part_sizes(m, block[1])
+    if a + b > m or u + w > m + 1:
         return None
-    if bi % 2 == 0:
-        i = bi // 2
-        return intersection_matrix(m - i, i, 0, m), intersection_matrix(i, m - i, 0, m + 1)
-    i = (bi - 1) // 2
-    return intersection_matrix(i, m - i - 1, 0, m), intersection_matrix(m - i, i + 1, 0, m + 1)
+    return intersection_matrix(a, b, 0, m), intersection_matrix(u, w, 0, m + 1)
 
 
 def _first_difference(got: IntMatrix, expected: IntMatrix):
@@ -290,12 +272,3 @@ def verify_adjacency_blocks(graph: OddGraph, adjacency: IntMatrix | None = None)
         if bi <= bj and blocks[(bj, bi)] != got.transpose():
             witnesses.append({"kind": "symmetry_violated", "block": [bi, bj]})
     return CheckResult.from_witnesses("adjacency-blocks", witnesses, params={"m": m})
-
-
-def verify_reassembly(graph: OddGraph) -> bool:
-    """The adjacency matrix equals the sum of its re-embedded admissible blocks."""
-    a = graph.adjacency()
-    total = IntMatrix.zeros(graph.num_vertices, graph.num_vertices)
-    for block in graph.admissible_blocks():
-        total = total + graph.embed(graph.extract_block(a, block), block)
-    return total == a

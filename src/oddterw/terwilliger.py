@@ -12,9 +12,8 @@ The verify_* functions machine-check that the two coincide, that the
 explicit family is a basis, that specific membership families hold, and
 that the dimension matches the closed-form count C(m+4, 4).
 
-Candidate products within a closure round may be computed concurrently from
-the immutable current basis, but insertions go through one writer; the
-verification sweeps are embarrassingly parallel over parameter tuples.
+The closure runs sequentially: every candidate product is reduced against
+the basis as soon as it is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .combinatorics import binomial, intersection_range
 from .errors import ClosureDivergenceError, FormulaError, ParameterError
 from .exactmat import DEFAULT_PRIME, IntMatrix, MatrixSpace, kron
 from .intersection import HSpec
-from .oddgraph import BlockRef, OddGraph
+from .oddgraph import BlockRef, OddGraph, part_sizes
 from .report import CheckResult
 
 #: Closure checks above this m are refused by default tooling; C(13, 6) =
@@ -54,32 +53,26 @@ class BlockGenerator:
         return f"block{self.block} {self.left.label()} x {self.right.label()}"
 
 
-def _co_parameter(m: int, d: int) -> int:
-    # Distance class d holds the vertices whose part outside the base vertex
-    # has this size; it determines both Kronecker factor shapes.
-    return d // 2 if d % 2 == 0 else m - d // 2
-
-
 def block_generators(m: int) -> list[BlockGenerator]:
     """The full labeled generating family, one generator per (block, l, s).
 
-    For the block (p, q), write u and w for the outside-part sizes of the
-    two classes.  The generators are kron(H(m-u, m-w, l, m), H(u, w, s, m+1))
+    For the block (p, q), write (a, u) and (b, w) for the part sizes of the
+    two classes.  The generators are kron(H(a, b, l, m), H(u, w, s, m+1))
     for every feasible l and s.  The count over all blocks is C(m+4, 4).
     """
     if m < 1:
         raise ParameterError("m must be at least 1")
     gens = []
     for p in range(m + 1):
-        u = _co_parameter(m, p)
+        a, u = part_sizes(m, p)
         for q in range(m + 1):
-            w = _co_parameter(m, q)
-            for l in intersection_range(m - u, m - w, m):
+            b, w = part_sizes(m, q)
+            for l in intersection_range(a, b, m):
                 for s in intersection_range(u, w, m + 1):
                     gens.append(
                         BlockGenerator(
                             block=(p, q),
-                            left=HSpec(m - u, m - w, l, m),
+                            left=HSpec(a, b, l, m),
                             right=HSpec(u, w, s, m + 1),
                         )
                     )
@@ -167,7 +160,6 @@ class ClosureResult:
     dimension: int
     rounds: int
     products_computed: int
-    stabilized: bool
 
 
 def closure(
@@ -237,7 +229,6 @@ def closure(
         dimension=space.dim,
         rounds=rounds,
         products_computed=products,
-        stabilized=True,
     )
 
 
@@ -250,23 +241,6 @@ def generator_span(graph: OddGraph, gens: list[BlockGenerator], prime: int | Non
     return space
 
 
-def basis_block_elements(graph: OddGraph, space: MatrixSpace) -> list[tuple[BlockRef, IntMatrix]]:
-    """Closure basis rows as (block, local matrix) pairs.
-
-    Valid because closure basis vectors are supported on single blocks.
-    """
-    n = graph.num_vertices
-    out = []
-    for pivot, row in space.iter_basis():
-        block = graph.block_of_coordinate(pivot)
-        r0, c0 = graph.class_offset(block[0]), graph.class_offset(block[1])
-        local_entries = {(coord // n - r0, coord % n - c0): v for coord, v in row.items()}
-        out.append(
-            (block, IntMatrix(graph.class_size(block[0]), graph.class_size(block[1]), local_entries))
-        )
-    return out
-
-
 # -- verification ------------------------------------------------------------
 
 
@@ -274,12 +248,9 @@ def projector_factor_mismatches(graph: OddGraph) -> list[dict]:
     """Check every distance projector equals its embedded Kronecker identity pair."""
     m = graph.m
     witnesses = []
-    cases = [(2 * i, HSpec(m - i, m - i, m - i, m), HSpec(i, i, i, m + 1)) for i in range(m // 2 + 1)]
-    cases += [
-        (2 * i + 1, HSpec(i, i, i, m), HSpec(m - i, m - i, m - i, m + 1))
-        for i in range((m + 1) // 2)
-    ]
-    for d, left, right in cases:
+    for d in range(m + 1):
+        a, u = part_sizes(m, d)
+        left, right = HSpec(a, a, a, m), HSpec(u, u, u, m + 1)
         embedded = graph.embed(kron(left.build(), right.build()), (d, d))
         if embedded != graph.dual_idempotent(d):
             witnesses.append(
@@ -433,18 +404,3 @@ def verify_membership_families(graph: OddGraph, clo: ClosureResult) -> CheckResu
         witnesses,
         params={"m": graph.m, "field": clo.space.field_name, "cases": len(cases)},
     )
-
-
-def product_chain_membership(graph: OddGraph, clo: ClosureResult, chain: list[int]) -> bool:
-    """Whether the block product along a class walk lands in the closure span.
-
-    `chain` is a walk i_1, i_2, ..., i_n through admissible adjacency
-    blocks; the product of those blocks sits in the (i_1, i_n) block.
-    """
-    a = graph.adjacency()
-    product = graph.extract_block(a, (chain[0], chain[1]))
-    for p, q in zip(chain[1:], chain[2:]):
-        product = product @ graph.extract_block(a, (p, q))
-    if product.is_zero():
-        return True
-    return clo.space.contains_vector(graph.embed_vector(product, (chain[0], chain[-1])))

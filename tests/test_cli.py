@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from oddterw import load_report_schema, read_matrix_market
+from oddterw import GraphStructureError, OddGraph, load_report_schema, read_matrix_market
 from oddterw.cli import RunConfig, main, run_verify
 from oddterw.report import CheckResult
 
@@ -70,12 +71,17 @@ def test_verify_small_run_passes_and_validates_schema(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
-def test_verify_all_checks_m3(tmp_path):
+def test_verify_all_checks_m3(tmp_path, capsys):
     out = tmp_path / "m3all"
     rc = main(["verify", "--m", "3", "--checks", "all", "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
+    assert json.loads(capsys.readouterr().out) == report
     jsonschema.validate(report, load_report_schema())
+    # check names, params, notes and witnesses are pinned; only timings may change
+    pinned = json.loads(Path(__file__).with_name("verify_m3_all_report.json").read_text())
+    timeless = [{k: v for k, v in c.items() if k != "ms"} for c in report["checks"]]
+    assert {**report, "checks": timeless} == pinned
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["closure"]["params"]["dimension"] == 35
     assert by_name["closure"]["params"]["dims"] == {
@@ -131,6 +137,14 @@ def test_verify_rejects_bad_parameters(tmp_path, capsys):
     # composite above the size floor: rejected when the space is built
     assert main(["verify", "--m", "2", "--checks", "closure", "--primes", "1000001", "--out", out]) == 2
     assert main(["verify", "--m", "6", "--checks", "closure", "--out", out]) == 2  # needs --allow-large
+    capsys.readouterr()
+    products = ["verify", "--m", "2", "--checks", "products", "--out", out]
+    assert main(products + ["--sweep-max", "-5"]) == 2
+    assert main(products + ["--sweep-max", "9"]) == 2
+    assert "--sweep-max above 8 needs --allow-large" in capsys.readouterr().err
+    # the ceiling itself and opted-in larger sweeps validate (not run: v = 9 takes tens of seconds)
+    RunConfig(m=2, checks=("products",), sweep_max=8)
+    RunConfig(m=2, checks=("products",), sweep_max=9, allow_large=True)
 
 
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
@@ -170,6 +184,25 @@ def test_internal_error_surfaces_as_failed_check(tmp_path, monkeypatch):
     assert by_name["closure"]["status"] == "skipped"
     assert by_name["basis"]["status"] == "skipped"
     assert by_name["blocks"]["status"] == "pass"  # independent of the closure
+
+
+def test_graph_structure_failure_exits_1(tmp_path, monkeypatch, capsys):
+    bfs_distances = OddGraph.bfs_distances
+
+    def one_wrong_distance(self):
+        dist = bfs_distances(self)
+        dist[1] += 1  # vertex 1 is in class 1
+        return dist
+
+    monkeypatch.setattr(OddGraph, "bfs_distances", one_wrong_distance)
+    with pytest.raises(GraphStructureError) as info:
+        OddGraph(2)
+    assert isinstance(info.value, RuntimeError)
+    # main returns 1 instead of raising, so the console shows no traceback
+    assert main(["verify", "--m", "2", "--checks", "blocks", "--out", str(tmp_path / "v")]) == 1
+    assert main(["build", "--m", "2", "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("internal check failure: class/BFS mismatch at vertex 1") == 2
 
 
 def test_run_config_validation():

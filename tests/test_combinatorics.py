@@ -93,7 +93,7 @@ def test_subset_index_rejects_bad_parameters():
 @pytest.mark.parametrize("i,j,v,lo,hi", [(1, 1, 2, 0, 1), (2, 3, 4, 1, 2), (0, 4, 4, 0, 0)])
 def test_intersection_range_examples(i, j, v, lo, hi):
     rng = intersection_range(i, j, v)
-    assert (rng.lo, rng.hi) == (lo, hi)
+    assert (rng[0], rng[-1]) == (lo, hi)
     assert list(rng) == list(range(lo, hi + 1))
     assert lo in rng and hi in rng and hi + 1 not in rng
 
