@@ -204,13 +204,11 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bn, bc = b.nrows, b.ncols
     rows: dict[int, dict[int, int]] = {}
     for ra, arow in a._rows.items():
+        acols = [(ca * bc, va) for ca, va in arow.items()]
         for rb, brow in b._rows.items():
-            out = {}
-            for ca, va in arow.items():
-                base = ca * bc
-                for cb, vb in brow.items():
-                    out[base + cb] = va * vb
-            rows[ra * bn + rb] = out
+            rows[ra * bn + rb] = {
+                base + cb: va * vb for base, va in acols for cb, vb in brow.items()
+            }
     return IntMatrix._wrap(a.nrows * bn, a.ncols * bc, rows)
 
 

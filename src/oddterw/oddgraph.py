@@ -194,9 +194,14 @@ class OddGraph:
         nr, nc = self.class_size(bi), self.class_size(bj)
         if matrix.shape != (nr, nc):
             raise ShapeError(f"block {block} has shape {(nr, nc)}, got {matrix.shape}")
-        r0, c0 = self.class_offset(bi), self.class_offset(bj)
         n = self.num_vertices
-        return {(r0 + r) * n + (c0 + c): v for r, c, v in matrix.iter_entries()}
+        base = self.class_offset(bi) * n + self.class_offset(bj)
+        return {
+            start + c: v
+            for r, row in matrix._rows.items()
+            for start in (base + r * n,)
+            for c, v in row.items()
+        }
 
     def block_of_coordinate(self, coord: int) -> BlockRef:
         """Distance-class block containing one row-major ambient coordinate."""

@@ -12,8 +12,15 @@ The verify_* functions machine-check that the two coincide, that the
 explicit family is a basis, that specific membership families hold, and
 that the dimension matches the closed-form count C(m+4, 4).
 
-The closure runs sequentially: every candidate product is reduced against
-the basis as soon as it is formed.
+The closure keeps every element it multiplies in the factored form the
+paper's basis has: one distance-class block and a pair of small factors
+(left, right) standing for kron(left, right).  Products are taken factor
+by factor, and an element is expanded only when it is offered to the span.
+The adjacency factor pairs are used only after each one's Kronecker
+product is checked against the graph's own adjacency matrix, so the
+closure still takes no Kronecker claim on trust.  The closure runs
+sequentially: every candidate product is reduced against the basis as
+soon as it is formed.
 """
 
 from __future__ import annotations
@@ -23,10 +30,10 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .combinatorics import binomial, intersection_range
-from .errors import ClosureDivergenceError, FormulaError, ParameterError
+from .errors import ClosureDivergenceError, FormulaError, GraphStructureError, ParameterError
 from .exactmat import DEFAULT_PRIME, IntMatrix, MatrixSpace, kron
 from .intersection import HSpec
-from .oddgraph import BlockRef, OddGraph, part_sizes
+from .oddgraph import BlockRef, OddGraph, expected_block_factors, part_sizes
 from .report import CheckResult
 
 #: Closure checks above this m are refused by default tooling; C(13, 6) =
@@ -162,6 +169,26 @@ class ClosureResult:
     products_computed: int
 
 
+def _adjacency_factors(graph: OddGraph) -> dict[BlockRef, tuple[IntMatrix, IntMatrix]]:
+    """Kronecker factors of every admissible adjacency block, checked against the graph.
+
+    Each pair comes from `expected_block_factors` and is kept only after
+    its Kronecker product equals the block extracted from the graph's own
+    adjacency matrix, so a caller multiplying on the factors takes no
+    factorization on trust.  Raises GraphStructureError on any mismatch.
+    """
+    adjacency = graph.adjacency()
+    factors = {}
+    for block in graph.admissible_blocks():
+        pair = expected_block_factors(graph.m, block)
+        if pair is None or graph.extract_block(adjacency, block) != kron(*pair):
+            raise GraphStructureError(
+                f"adjacency block {block} is not the Kronecker product of its expected factors"
+            )
+        factors[block] = pair
+    return factors
+
+
 def closure(
     graph: OddGraph,
     prime: int | None = DEFAULT_PRIME,
@@ -181,6 +208,15 @@ def closure(
     fix or kill single-block matrices, so their products add nothing new);
     this keeps span vectors short without changing the resulting span.
 
+    Every working element is a pair (left, right) standing for the block
+    matrix kron(left, right), with `left` on subsets of the base vertex and
+    `right` on subsets of its complement.  The seeds are kron(I, I) on each
+    diagonal block and the adjacency factor pairs from `_adjacency_factors`,
+    each checked against the graph's adjacency matrix before use (a
+    mismatch raises GraphStructureError).  Products are taken on the small
+    factors, kron(AL, AR) @ kron(L, R) = kron(AL @ L, AR @ R), and an
+    element is materialized only to be offered to the span.
+
     `shuffle`, when given, randomizes processing order inside each round;
     the resulting dimension must not depend on it.
     """
@@ -189,22 +225,22 @@ def closure(
         max_rounds = 4 * (m + 1) ** 2
     n = graph.num_vertices
     space = MatrixSpace(n, n, prime=prime)
-    adjacency_blocks = {
-        block: graph.extract_block(graph.adjacency(), block)
-        for block in graph.admissible_blocks()
-    }
+    factors = _adjacency_factors(graph)
 
-    frontier: list[tuple[BlockRef, IntMatrix]] = []
+    frontier: list[tuple[BlockRef, IntMatrix, IntMatrix]] = []
     products = 0
 
-    def offer(block: BlockRef, local: IntMatrix):
-        if not local.is_zero() and space.insert_vector(graph.embed_vector(local, block)):
-            frontier.append((block, local))
+    def offer(block: BlockRef, left: IntMatrix, right: IntMatrix):
+        if left.is_zero() or right.is_zero():
+            return
+        if space.insert_vector(graph.embed_vector(kron(left, right), block)):
+            frontier.append((block, left, right))
 
     for d in range(m + 1):
-        offer((d, d), IntMatrix.identity(graph.class_size(d)))
-    for block, local in adjacency_blocks.items():
-        offer(block, local)
+        a, u = part_sizes(m, d)
+        offer((d, d), IntMatrix.identity(binomial(m, a)), IntMatrix.identity(binomial(m + 1, u)))
+    for block, (left, right) in factors.items():
+        offer(block, left, right)
 
     rounds = 0
     while frontier:
@@ -216,13 +252,15 @@ def closure(
         current, frontier = frontier, []
         if shuffle is not None:
             shuffle.shuffle(current)
-        for (p, q), local in current:
+        for (p, q), left, right in current:
             for r in graph.adjacent_classes(p):
                 products += 1
-                offer((r, q), adjacency_blocks[(r, p)] @ local)
+                a_left, a_right = factors[(r, p)]
+                offer((r, q), a_left @ left, a_right @ right)
             for s in graph.adjacent_classes(q):
                 products += 1
-                offer((p, s), local @ adjacency_blocks[(q, s)])
+                a_left, a_right = factors[(q, s)]
+                offer((p, s), left @ a_left, right @ a_right)
 
     return ClosureResult(
         space=space,

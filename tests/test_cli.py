@@ -1,12 +1,19 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from oddterw import GraphStructureError, OddGraph, load_report_schema, read_matrix_market
+from oddterw import (
+    GraphStructureError,
+    IntMatrix,
+    OddGraph,
+    load_report_schema,
+    read_matrix_market,
+)
 from oddterw.cli import RunConfig, main, run_verify
 from oddterw.report import CheckResult
 
@@ -205,6 +212,46 @@ def test_graph_structure_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert err.count("internal check failure: class/BFS mismatch at vertex 1") == 2
 
 
+def test_tampered_adjacency_fails_closure_computation(tmp_path, monkeypatch, capsys):
+    adjacency = OddGraph.adjacency
+
+    def one_edge_missing(self):
+        entries = {(r, c): v for r, c, v in adjacency(self).iter_entries()}
+        del entries[(0, 1)]  # inside the admissible block (0, 1)
+        return IntMatrix(self.num_vertices, self.num_vertices, entries)
+
+    monkeypatch.setattr(OddGraph, "adjacency", one_edge_missing)
+    out = tmp_path / "t"
+    rc = main(["verify", "--m", "3", "--checks", "closure,containment", "--out", str(out)])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, load_report_schema())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["closure-computation"]["status"] == "fail"
+    witness = by_name["closure-computation"]["witnesses"][0]
+    assert witness["kind"] == "internal" and "(0, 1)" in witness["detail"]
+    assert by_name["closure"]["status"] == "skipped"
+    assert by_name["containment"]["status"] == "skipped"
+
+
+def test_closure_ms_includes_computing_the_closures(monkeypatch):
+    import oddterw.cli as cli_module
+
+    real_closure = cli_module.closure
+
+    def slow_closure(graph, **kwargs):
+        time.sleep(0.05)
+        return real_closure(graph, **kwargs)
+
+    monkeypatch.setattr(cli_module, "closure", slow_closure)
+    config = RunConfig(m=1, checks=("closure",))
+    report = run_verify(config)
+    (check,) = report.checks
+    assert check.name == "closure" and check.status == "pass"
+    assert check.ms >= 50 * len(config.fields)
+
+
 def test_run_config_validation():
     with pytest.raises(Exception):
         RunConfig(m=0, checks=("closure",))
@@ -244,6 +291,18 @@ def test_tdim_skips_closure_above_ceiling(capsys):
 
 def test_tdim_bad_max(capsys):
     assert main(["tdim", "--max", "0"]) == 2
+
+
+def test_tdim_max_capped_at_identity_range(monkeypatch, capsys):
+    import oddterw.cli as cli_module
+
+    assert main(["tdim", "--max", "201"]) == 2
+    assert "error: --max must be at most 200" in capsys.readouterr().err
+    # the cap itself validates; the table is not built here
+    seen = []
+    monkeypatch.setattr(cli_module, "cmd_tdim", lambda m_max: seen.append(m_max) or 0)
+    assert main(["tdim", "--max", "200"]) == 0
+    assert seen == [200]
 
 
 def test_console_entry_point_runs():

@@ -72,6 +72,45 @@ def test_kron_index_convention():
     assert k.entry(1, 2) == 15 and k.entry(1, 3) == 21
 
 
+def random_sparse(rng, nrows, ncols):
+    # about a third of the rows empty, values of both signs
+    entries = {
+        (r, c): rng.choice((-3, -1, 2, 5))
+        for r in range(nrows)
+        if rng.random() < 0.65
+        for c in range(ncols)
+        if rng.random() < 0.5
+    }
+    return IntMatrix(nrows, ncols, entries)
+
+
+def dense_kron(a, b):
+    # the textbook triple loop on dense lists: out[ra*q + rb][ca*s + cb] = a[ra][ca] * b[rb][cb]
+    (n, m), (q, s) = a.shape, b.shape
+    da, db = a.to_dense(), b.to_dense()
+    out = [[0] * (m * s) for _ in range(n * q)]
+    for ra in range(n):
+        for rb in range(q):
+            for ca in range(m):
+                for cb in range(s):
+                    out[ra * q + rb][ca * s + cb] = da[ra][ca] * db[rb][cb]
+    return out
+
+
+def test_kron_matches_dense_triple_loop():
+    rng = random.Random(17)
+    for trial in range(40):
+        a = random_sparse(rng, rng.randint(1, 6), rng.randint(1, 6))
+        b = random_sparse(rng, rng.randint(1, 6), rng.randint(1, 6))
+        if trial % 8 == 0:
+            a = IntMatrix.zeros(*a.shape)
+        elif trial % 8 == 1:
+            b = IntMatrix.zeros(*b.shape)
+        k = kron(a, b)
+        assert k.to_dense() == dense_kron(a, b)
+        assert k == IntMatrix.from_dense(dense_kron(a, b))  # no stored zeros or empty rows
+
+
 def test_kron_mixed_product_property():
     rng = random.Random(11)
     for _ in range(15):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oddterw import (
@@ -105,9 +107,21 @@ def test_extract_embed_inverse(graph_factory):
 
 
 def test_embed_vector_matches_embed(graph_factory):
-    g = graph_factory(2)
-    local = g.extract_block(g.adjacency(), (1, 2))
-    assert g.embed_vector(local, (1, 2)) == g.embed(local, (1, 2)).vectorize()
+    g = graph_factory(3)
+    rng = random.Random(5)
+    for p in range(g.m + 1):
+        for q in range(g.m + 1):
+            nr, nc = g.class_size(p), g.class_size(q)
+            # about a third of the rows empty, values of both signs
+            entries = {
+                (r, c): rng.choice((-3, -1, 1, 2, 7))
+                for r in range(nr)
+                if rng.random() < 0.65
+                for c in range(nc)
+                if rng.random() < 0.4
+            }
+            local = IntMatrix(nr, nc, entries)
+            assert g.embed_vector(local, (p, q)) == g.embed(local, (p, q)).vectorize()
 
 
 def test_shape_errors(graph_factory):

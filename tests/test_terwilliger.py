@@ -44,6 +44,47 @@ def basis_block_elements(graph, space):
     return out
 
 
+def block_matrix_closure(graph, prime, shuffle=None):
+    """Reference closure that multiplies class-sized block matrices.
+
+    The same seeds, order and counters as `closure`, with every product
+    taken on the full block instead of on its Kronecker factors.  Returns
+    (space, rounds, products).
+    """
+    m, n = graph.m, graph.num_vertices
+    space = MatrixSpace(n, n, prime=prime)
+    adjacency_blocks = {
+        block: graph.extract_block(graph.adjacency(), block)
+        for block in graph.admissible_blocks()
+    }
+    frontier = []
+    products = 0
+
+    def offer(block, local):
+        if not local.is_zero() and space.insert_vector(graph.embed_vector(local, block)):
+            frontier.append((block, local))
+
+    for d in range(m + 1):
+        offer((d, d), IntMatrix.identity(graph.class_size(d)))
+    for block, local in adjacency_blocks.items():
+        offer(block, local)
+
+    rounds = 0
+    while frontier:
+        rounds += 1
+        current, frontier = frontier, []
+        if shuffle is not None:
+            shuffle.shuffle(current)
+        for (p, q), local in current:
+            for r in graph.adjacent_classes(p):
+                products += 1
+                offer((r, q), adjacency_blocks[(r, p)] @ local)
+            for s in graph.adjacent_classes(q):
+                products += 1
+                offer((p, s), local @ adjacency_blocks[(q, s)])
+    return space, rounds, products
+
+
 def product_chain_membership(graph, clo, chain):
     """Whether the block product along a class walk lands in the closure span.
 
@@ -122,7 +163,8 @@ def test_closure_dimension_independent_of_order(graph_factory):
     reference = closure(g).dimension
     for seed in (0, 1, 2):
         shuffled = closure(g, shuffle=random.Random(seed))
-        assert shuffled.dimension == reference
+        space, _, _ = block_matrix_closure(g, DEFAULT_PRIMES[0], shuffle=random.Random(seed))
+        assert shuffled.dimension == space.dim == reference
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -130,6 +172,28 @@ def test_closure_dimension_same_across_fields(graph_factory, closure_factory, m)
     dims = {closure_factory(m, prime).dimension for prime in DEFAULT_PRIMES}
     dims.add(closure(graph_factory(m), prime=None).dimension)
     assert dims == {binomial(m + 4, 4)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_closure_matches_block_matrix_reference(graph_factory, m, prime):
+    g = graph_factory(m)
+    clo = closure(g, prime=prime)
+    space, rounds, products = block_matrix_closure(g, prime)
+    assert list(clo.space.iter_basis()) == list(space.iter_basis())
+    assert (clo.rounds, clo.products_computed) == (rounds, products)
+    assert clo.dimension == binomial(m + 4, 4)
+
+
+def test_tampered_adjacency_fails_closure_seeding():
+    from oddterw import GraphStructureError, OddGraph
+
+    g = OddGraph(3)
+    entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
+    del entries[(0, 1)]  # vertex 1 is a neighbour of the base vertex: block (0, 1)
+    g._adjacency = IntMatrix(g.num_vertices, g.num_vertices, entries)
+    with pytest.raises(GraphStructureError, match=r"adjacency block \(0, 1\)"):
+        closure(g)
 
 
 def test_closure_divergence_cap():
