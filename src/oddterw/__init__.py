@@ -16,7 +16,6 @@ from .exactmat import (
     MatrixSpace,
     is_prime,
     kron,
-    read_matrix_market,
     write_matrix_market,
 )
 from .intersection import (

@@ -47,23 +47,8 @@ class SubsetIndex:
             prev = e
         return sum(comb(e, t + 1) for t, e in enumerate(s))
 
-    def unrank(self, r: int) -> tuple[int, ...]:
-        """Inverse of rank: greedy colex decoding, largest element first."""
-        if not 0 <= r < self.count:
-            raise ParameterError(f"rank {r} out of range 0..{self.count - 1}")
-        out = []
-        bound = self.n
-        for t in range(self.k, 0, -1):
-            c = bound - 1
-            while comb(c, t) > r:
-                c -= 1
-            out.append(c)
-            r -= comb(c, t)
-            bound = c
-        return tuple(reversed(out))
-
     def subsets(self) -> list[tuple[int, ...]]:
-        """All k-subsets in colex order (index in this list == rank)."""
+        """All k-subsets in colex order (index in this list == rank), the inverse of `rank`."""
         return sorted(itertools.combinations(range(self.n), self.k), key=lambda s: s[::-1])
 
 

@@ -43,11 +43,7 @@ class IntMatrix:
         self.ncols = ncols
         rows: dict[int, dict[int, int]] = {}
         if entries:
-            if hasattr(entries, "items"):
-                items = (((r, c), v) for (r, c), v in entries.items())
-            else:
-                items = (((r, c), v) for r, c, v in entries)
-            for (r, c), v in items:
+            for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise ShapeError(f"entry ({r}, {c}) outside shape ({nrows}, {ncols})")
                 if v:
@@ -71,19 +67,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._wrap(n, n, {i: {i: 1} for i in range(n)})
-
-    @classmethod
-    def from_dense(cls, dense) -> "IntMatrix":
-        nrows = len(dense)
-        ncols = len(dense[0]) if nrows else 0
-        rows = {}
-        for r, drow in enumerate(dense):
-            if len(drow) != ncols:
-                raise ShapeError("ragged dense input")
-            row = {c: v for c, v in enumerate(drow) if v}
-            if row:
-                rows[r] = row
-        return cls._wrap(nrows, ncols, rows)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -120,38 +103,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        rows = {r: dict(row) for r, row in self._rows.items()}
-        for r, row in other._rows.items():
-            target = rows.setdefault(r, {})
-            for c, v in row.items():
-                nv = target.get(c, 0) + v
-                if nv:
-                    target[c] = nv
-                else:
-                    del target[c]
-            if not target:
-                del rows[r]
-        return IntMatrix._wrap(self.nrows, self.ncols, rows)
-
-    def __neg__(self) -> "IntMatrix":
-        return self * -1
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "IntMatrix":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        if scalar == 0:
-            return IntMatrix.zeros(self.nrows, self.ncols)
-        rows = {r: {c: v * scalar for c, v in row.items()} for r, row in self._rows.items()}
-        return IntMatrix._wrap(self.nrows, self.ncols, rows)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
@@ -177,26 +128,10 @@ class IntMatrix:
                 rows.setdefault(c, {})[r] = v
         return IntMatrix._wrap(self.ncols, self.nrows, rows)
 
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, row in self._rows.items():
-            for c, v in row.items():
-                dense[r][c] = v
-        return dense
-
     def vectorize(self) -> dict[int, int]:
         """Row-major flattening: coordinate r*ncols + c maps to the entry value."""
         ncols = self.ncols
         return {r * ncols + c: v for r, row in self._rows.items() for c, v in row.items()}
-
-    @classmethod
-    def unvectorize(cls, vec: dict[int, int], nrows: int, ncols: int) -> "IntMatrix":
-        rows: dict[int, dict[int, int]] = {}
-        for coord, v in vec.items():
-            if v:
-                rows.setdefault(coord // ncols, {})[coord % ncols] = v
-        return cls._wrap(nrows, ncols, rows)
-
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product with index convention
@@ -242,19 +177,19 @@ def field_name(prime: int | None) -> str:
 
 
 class MatrixSpace:
-    """Linear span of matrices of one shape, kept as a reduced echelon basis.
+    """Linear span of sparse vectors, kept as a reduced echelon basis.
 
-    Matrices are vectorized row-major; the basis is held as sparse rows in
-    reduced row-echelon form over GF(p) (pivot value 1) or, with prime=None,
-    as primitive integer rows with positive pivots, reduced fraction-free so
-    that membership and dimension are exact over the rationals.
+    A vector is a {coordinate: value} map; matrices enter row-major, as
+    `IntMatrix.vectorize` or `OddGraph.embed_vector` lays them out.  The
+    basis is held as sparse rows in reduced row-echelon form over GF(p)
+    (pivot value 1) or, with prime=None, as primitive integer rows with
+    positive pivots, reduced fraction-free so that membership and dimension
+    are exact over the rationals.
     """
 
-    def __init__(self, nrows: int, ncols: int, prime: int | None = DEFAULT_PRIME):
+    def __init__(self, *, prime: int | None = DEFAULT_PRIME):
         if prime is not None and not is_prime(prime):
             raise ParameterError(f"{prime} is not prime")
-        self.nrows = nrows
-        self.ncols = ncols
         self.prime = prime
         self._rows: dict[int, dict[int, int]] = {}  # pivot coordinate -> row
 
@@ -266,40 +201,16 @@ class MatrixSpace:
     def field_name(self) -> str:
         return field_name(self.prime)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    # -- public matrix-level interface -------------------------------------
-
-    def insert(self, matrix: IntMatrix) -> bool:
-        """Reduce `matrix` against the basis; grow the basis if independent.
-
-        Returns True when the dimension grew.
-        """
-        self._check_shape(matrix)
-        return self.insert_vector(matrix.vectorize())
-
-    def contains(self, matrix: IntMatrix) -> bool:
-        """True iff `matrix` lies in the current span."""
-        self._check_shape(matrix)
-        return self.contains_vector(matrix.vectorize())
-
-    def basis_matrices(self) -> list[IntMatrix]:
-        """The echelon basis, unvectorized, in pivot order."""
-        return [
-            IntMatrix.unvectorize(self._rows[piv], self.nrows, self.ncols)
-            for piv in sorted(self._rows)
-        ]
-
     def iter_basis(self):
         """Yield (pivot, row) pairs in pivot order.  Rows are internal: do not mutate."""
         for piv in sorted(self._rows):
             yield piv, self._rows[piv]
 
-    # -- vector-level interface (row-major coordinates) --------------------
-
     def insert_vector(self, vec: dict[int, int]) -> bool:
+        """Reduce `vec` against the basis; grow the basis if independent.
+
+        Returns True when the dimension grew.
+        """
         v = self._normalize_input(vec)
         self._reduce_leading(v)
         if not v:
@@ -317,15 +228,12 @@ class MatrixSpace:
         return True
 
     def contains_vector(self, vec: dict[int, int]) -> bool:
+        """True iff `vec` lies in the current span."""
         v = self._normalize_input(vec)
         self._reduce_leading(v)
         return not v
 
     # -- internals ----------------------------------------------------------
-
-    def _check_shape(self, matrix: IntMatrix):
-        if matrix.shape != self.shape:
-            raise ShapeError(f"expected shape {self.shape}, got {matrix.shape}")
 
     def _normalize_input(self, vec: dict[int, int]) -> dict[int, int]:
         p = self.prime
@@ -426,47 +334,3 @@ def write_matrix_market(matrix: IntMatrix, destination):
     for r, c, v in matrix.iter_entries():
         destination.write(f"{r + 1} {c + 1} {v}\n")
 
-
-def read_matrix_market(source) -> IntMatrix:
-    """Read a coordinate-integer-general Matrix Market file."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            return read_matrix_market(fh)
-    header = source.readline()
-    tokens = header.strip().split()
-    expected = MM_HEADER.split()
-    if len(tokens) != 5 or tokens[0] != expected[0] or [t.lower() for t in tokens[1:]] != expected[1:]:
-        raise ParameterError(f"unsupported Matrix Market header: {header.strip()!r}")
-    size_line = None
-    for line in source:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
-    if size_line is None:
-        raise ParameterError("missing size line")
-    try:
-        nrows, ncols, nnz = (int(t) for t in size_line.split())
-    except ValueError as exc:
-        raise ParameterError(f"bad size line: {size_line!r}") from exc
-    rows: dict[int, dict[int, int]] = {}
-    seen = 0
-    for line in source:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ParameterError(f"bad entry line: {stripped!r}")
-        r, c, v = int(parts[0]) - 1, int(parts[1]) - 1, int(parts[2])
-        if not (0 <= r < nrows and 0 <= c < ncols):
-            raise ParameterError(f"entry ({r + 1}, {c + 1}) outside {nrows}x{ncols}")
-        if c in rows.get(r, ()):
-            raise ParameterError(f"duplicate entry at ({r + 1}, {c + 1})")
-        seen += 1
-        if v:
-            rows.setdefault(r, {})[c] = v
-    if seen != nnz:
-        raise ParameterError(f"expected {nnz} entries, found {seen}")
-    return IntMatrix._wrap(nrows, ncols, rows)

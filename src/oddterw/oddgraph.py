@@ -28,8 +28,8 @@ from .report import CheckResult
 
 BlockRef = tuple[int, int]
 
-#: Building above this m is refused unless the caller raises the ceiling;
-#: C(13, 6) = 1716 vertices is the largest size built by default tooling.
+#: Building above this m is refused: C(13, 6) = 1716 vertices is the
+#: largest graph the tooling builds.
 DEFAULT_MAX_M = 6
 
 
@@ -46,11 +46,11 @@ def part_sizes(m: int, d: int) -> tuple[int, int]:
 
 
 class OddGraph:
-    def __init__(self, m: int, max_m: int = DEFAULT_MAX_M):
+    def __init__(self, m: int):
         if m < 1:
             raise ParameterError("m must be at least 1")
-        if m > max_m:
-            raise ParameterError(f"m={m} exceeds the configured ceiling {max_m}")
+        if m > DEFAULT_MAX_M:
+            raise ParameterError(f"m={m} exceeds the supported ceiling {DEFAULT_MAX_M}")
         self.m = m
         self.ground_size = 2 * m + 1
         self.x = tuple(range(m))
@@ -175,21 +175,11 @@ class OddGraph:
                 rows[r - r0] = row
         return IntMatrix._wrap(nr, nc, rows)
 
-    def embed(self, matrix: IntMatrix, block: BlockRef) -> IntMatrix:
-        """Place a class-shaped matrix into the full vertex-indexed ambient, zero elsewhere."""
-        bi, bj = block
-        nr, nc = self.class_size(bi), self.class_size(bj)
-        if matrix.shape != (nr, nc):
-            raise ShapeError(f"block {block} has shape {(nr, nc)}, got {matrix.shape}")
-        r0, c0 = self.class_offset(bi), self.class_offset(bj)
-        n = self.num_vertices
-        rows = {}
-        for r, c, v in matrix.iter_entries():
-            rows.setdefault(r0 + r, {})[c0 + c] = v
-        return IntMatrix._wrap(n, n, rows)
-
     def embed_vector(self, matrix: IntMatrix, block: BlockRef) -> dict[int, int]:
-        """Row-major ambient coordinates of embed(matrix, block), without materializing it."""
+        """Row-major ambient coordinates of a class-shaped matrix placed at `block`.
+
+        The n x n ambient matrix, zero outside the block, is never built.
+        """
         bi, bj = block
         nr, nc = self.class_size(bi), self.class_size(bj)
         if matrix.shape != (nr, nc):
@@ -234,9 +224,12 @@ def expected_block_factors(m: int, block: BlockRef) -> tuple[IntMatrix, IntMatri
 
 
 def _first_difference(got: IntMatrix, expected: IntMatrix):
-    diff = got - expected
-    for r, c, v in diff.iter_entries():
-        return r, c, expected.entry(r, c) + v, expected.entry(r, c)
+    """First (row, col, got value, expected value) in row-major order where the two differ."""
+    for r in sorted(got._rows.keys() | expected._rows.keys()):
+        got_row, expected_row = got._rows.get(r, {}), expected._rows.get(r, {})
+        for c in sorted(got_row.keys() | expected_row.keys()):
+            if got_row.get(c, 0) != expected_row.get(c, 0):
+                return r, c, got_row.get(c, 0), expected_row.get(c, 0)
     return None
 
 

@@ -16,11 +16,17 @@ The closure keeps every element it multiplies in the factored form the
 paper's basis has: one distance-class block and a pair of small factors
 (left, right) standing for kron(left, right).  Products are taken factor
 by factor, and an element is expanded only when it is offered to the span.
-The adjacency factor pairs are used only after each one's Kronecker
-product is checked against the graph's own adjacency matrix, so the
-closure still takes no Kronecker claim on trust.  The closure runs
-sequentially: every candidate product is reduced against the basis as
-soon as it is formed.
+Before it uses any factor pair the closure runs the same entry-exact
+adjacency check as the `blocks` verifier (`verify_adjacency_blocks`), so
+it takes no Kronecker claim on trust and refuses a graph with a stray
+entry anywhere, zero blocks included.  Its diagonal seeds come from
+`projector_factors`, the one rule `projector_factor_mismatches` checks.
+The closure runs sequentially: every candidate product is reduced against
+the basis as soon as it is formed.
+
+Each fact has one implementation here: `generator_span` builds the
+family's span for both the containment and the basis verifier, and the
+membership cases carry `BlockGenerator`s, expanded by `local_matrix()`.
 """
 
 from __future__ import annotations
@@ -33,7 +39,13 @@ from .combinatorics import binomial, intersection_range
 from .errors import ClosureDivergenceError, FormulaError, GraphStructureError, ParameterError
 from .exactmat import DEFAULT_PRIME, IntMatrix, MatrixSpace, kron
 from .intersection import HSpec
-from .oddgraph import BlockRef, OddGraph, expected_block_factors, part_sizes
+from .oddgraph import (
+    BlockRef,
+    OddGraph,
+    expected_block_factors,
+    part_sizes,
+    verify_adjacency_blocks,
+)
 from .report import CheckResult
 
 #: Closure checks above this m are refused by default tooling; C(13, 6) =
@@ -137,17 +149,10 @@ def _block_dimension_sum(m: int) -> int:
     return total
 
 
-def dimension_formula(m: int, check_up_to: int | None = None) -> DimensionIdentity:
-    """Evaluate the per-block dimension count and C(m+4, 4); they must agree.
-
-    With check_up_to set, the identity is additionally checked for every
-    parameter from 1 up to that bound.
-    """
+def dimension_formula(m: int) -> DimensionIdentity:
+    """Evaluate the per-block dimension count and C(m+4, 4); they must agree."""
     if m < 1:
         raise ParameterError("m must be at least 1")
-    if check_up_to is not None:
-        for mm in range(1, check_up_to + 1):
-            dimension_formula(mm)
     block_sum = _block_dimension_sum(m)
     expected = binomial(m + 4, 4)
     if block_sum != expected:
@@ -169,24 +174,15 @@ class ClosureResult:
     products_computed: int
 
 
-def _adjacency_factors(graph: OddGraph) -> dict[BlockRef, tuple[IntMatrix, IntMatrix]]:
-    """Kronecker factors of every admissible adjacency block, checked against the graph.
+def projector_factors(m: int, d: int) -> tuple[HSpec, HSpec]:
+    """Kronecker factors of the distance projector E_d* on its diagonal block (d, d).
 
-    Each pair comes from `expected_block_factors` and is kept only after
-    its Kronecker product equals the block extracted from the graph's own
-    adjacency matrix, so a caller multiplying on the factors takes no
-    factorization on trust.  Raises GraphStructureError on any mismatch.
+    With (a, u) the part sizes of class d, both factors are identities:
+    H(a, a, a, m) pairs each a-subset with itself, H(u, u, u, m+1) each
+    u-subset.
     """
-    adjacency = graph.adjacency()
-    factors = {}
-    for block in graph.admissible_blocks():
-        pair = expected_block_factors(graph.m, block)
-        if pair is None or graph.extract_block(adjacency, block) != kron(*pair):
-            raise GraphStructureError(
-                f"adjacency block {block} is not the Kronecker product of its expected factors"
-            )
-        factors[block] = pair
-    return factors
+    a, u = part_sizes(m, d)
+    return HSpec(a, a, a, m), HSpec(u, u, u, m + 1)
 
 
 def closure(
@@ -210,12 +206,14 @@ def closure(
 
     Every working element is a pair (left, right) standing for the block
     matrix kron(left, right), with `left` on subsets of the base vertex and
-    `right` on subsets of its complement.  The seeds are kron(I, I) on each
-    diagonal block and the adjacency factor pairs from `_adjacency_factors`,
-    each checked against the graph's adjacency matrix before use (a
-    mismatch raises GraphStructureError).  Products are taken on the small
-    factors, kron(AL, AR) @ kron(L, R) = kron(AL @ L, AR @ R), and an
-    element is materialized only to be offered to the span.
+    `right` on subsets of its complement.  The seeds are the projector
+    factors from `projector_factors` on each diagonal block and the
+    adjacency factor pairs from `expected_block_factors` on each admissible
+    block.  Those pairs are used only once `verify_adjacency_blocks` passes
+    on the graph, the `blocks` check itself: otherwise the closure raises
+    GraphStructureError naming the first failing block.  Products are taken
+    on the small factors, kron(AL, AR) @ kron(L, R) = kron(AL @ L, AR @ R),
+    and an element is materialized only to be offered to the span.
 
     `shuffle`, when given, randomizes processing order inside each round;
     the resulting dimension must not depend on it.
@@ -223,9 +221,15 @@ def closure(
     m = graph.m
     if max_rounds is None:
         max_rounds = 4 * (m + 1) ** 2
-    n = graph.num_vertices
-    space = MatrixSpace(n, n, prime=prime)
-    factors = _adjacency_factors(graph)
+    space = MatrixSpace(prime=prime)
+    blocks = verify_adjacency_blocks(graph)
+    if not blocks.passed:
+        witness = blocks.witnesses[0]
+        p, q = witness["block"]
+        raise GraphStructureError(
+            f"adjacency block ({p}, {q}) fails the blocks check: {witness['kind']}"
+        )
+    factors = {block: expected_block_factors(m, block) for block in graph.admissible_blocks()}
 
     frontier: list[tuple[BlockRef, IntMatrix, IntMatrix]] = []
     products = 0
@@ -237,8 +241,8 @@ def closure(
             frontier.append((block, left, right))
 
     for d in range(m + 1):
-        a, u = part_sizes(m, d)
-        offer((d, d), IntMatrix.identity(binomial(m, a)), IntMatrix.identity(binomial(m + 1, u)))
+        left, right = projector_factors(m, d)
+        offer((d, d), left.build(), right.build())
     for block, (left, right) in factors.items():
         offer(block, left, right)
 
@@ -270,27 +274,38 @@ def closure(
     )
 
 
-def generator_span(graph: OddGraph, gens: list[BlockGenerator], prime: int | None) -> MatrixSpace:
-    """Span of the embedded generating family over the given field."""
-    n = graph.num_vertices
-    space = MatrixSpace(n, n, prime=prime)
-    for gen in gens:
-        space.insert_vector(graph.embed_vector(gen.local_matrix(), gen.block))
-    return space
+def generator_span(
+    graph: OddGraph, gens: list[BlockGenerator], prime: int | None
+) -> tuple[MatrixSpace, list[int]]:
+    """Span of the embedded generating family over the given field.
+
+    Each generator is inserted once, in order; also returns the indices of
+    those that did not grow the span.
+    """
+    space = MatrixSpace(prime=prime)
+    dependent = [
+        idx
+        for idx, gen in enumerate(gens)
+        if not space.insert_vector(graph.embed_vector(gen.local_matrix(), gen.block))
+    ]
+    return space, dependent
 
 
 # -- verification ------------------------------------------------------------
 
 
 def projector_factor_mismatches(graph: OddGraph) -> list[dict]:
-    """Check every distance projector equals its embedded Kronecker identity pair."""
-    m = graph.m
+    """Check every distance projector against `projector_factors`.
+
+    E_d* must equal the Kronecker product of its two factors on the block
+    (d, d) and vanish everywhere else.
+    """
     witnesses = []
-    for d in range(m + 1):
-        a, u = part_sizes(m, d)
-        left, right = HSpec(a, a, a, m), HSpec(u, u, u, m + 1)
-        embedded = graph.embed(kron(left.build(), right.build()), (d, d))
-        if embedded != graph.dual_idempotent(d):
+    for d in range(graph.m + 1):
+        left, right = projector_factors(graph.m, d)
+        projector = graph.dual_idempotent(d)
+        diagonal = graph.extract_block(projector, (d, d))
+        if diagonal != kron(left.build(), right.build()) or diagonal.nnz != projector.nnz:
             witnesses.append(
                 {"kind": "projector_mismatch", "class": d, "left": left.label(), "right": right.label()}
             )
@@ -306,7 +321,7 @@ def verify_closure_in_generator_span(
     that span in the first place.
     """
     witnesses = projector_factor_mismatches(graph)
-    span = generator_span(graph, gens, clo.space.prime)
+    span, _ = generator_span(graph, gens, clo.space.prime)
     for pivot, row in clo.space.iter_basis():
         if not span.contains_vector(row):
             witnesses.append(
@@ -349,16 +364,14 @@ def verify_generator_basis(
 ) -> CheckResult:
     """The generating family is linearly independent and spans the closure.
 
-    Inserts the embedded generators into a fresh space: every insert must
-    grow the dimension, and the final dimension must equal the closure's.
+    Builds the family's span with `generator_span`: every insert must grow
+    the dimension, and the final dimension must equal the closure's.
     """
-    witnesses = []
-    space = MatrixSpace(graph.num_vertices, graph.num_vertices, prime=clo.space.prime)
-    for idx, gen in enumerate(gens):
-        if not space.insert_vector(graph.embed_vector(gen.local_matrix(), gen.block)):
-            witnesses.append(
-                {"kind": "dependent_generator", "index": idx, "generator": gen.label()}
-            )
+    space, dependent = generator_span(graph, gens, clo.space.prime)
+    witnesses = [
+        {"kind": "dependent_generator", "index": idx, "generator": gens[idx].label()}
+        for idx in dependent
+    ]
     if space.dim != clo.dimension:
         witnesses.append(
             {"kind": "dimension_mismatch", "family_span_dim": space.dim, "closure_dim": clo.dimension}
@@ -402,9 +415,11 @@ def membership_family_cases(m: int) -> list[dict]:
                     {
                         "family": "odd_odd",
                         "i": i, "j": j, "l": l,
-                        "block": (2 * i + 1, 2 * j + 1),
-                        "left": HSpec(i, j, l, m),
-                        "right": HSpec(m - i, m - j, m - j, m + 1),
+                        "generator": BlockGenerator(
+                            (2 * i + 1, 2 * j + 1),
+                            HSpec(i, j, l, m),
+                            HSpec(m - i, m - j, m - j, m + 1),
+                        ),
                     }
                 )
     for j in range(1, m // 2 + 1):
@@ -414,9 +429,11 @@ def membership_family_cases(m: int) -> list[dict]:
                     {
                         "family": "odd_even",
                         "i": i, "j": j, "l": l,
-                        "block": (2 * i + 1, 2 * j),
-                        "left": HSpec(i, m - j, l, m),
-                        "right": HSpec(m - i, j, j - i - 1, m + 1),
+                        "generator": BlockGenerator(
+                            (2 * i + 1, 2 * j),
+                            HSpec(i, m - j, l, m),
+                            HSpec(m - i, j, j - i - 1, m + 1),
+                        ),
                     }
                 )
     return cases
@@ -427,14 +444,14 @@ def verify_membership_families(graph: OddGraph, clo: ClosureResult) -> CheckResu
     witnesses = []
     cases = membership_family_cases(graph.m)
     for case in cases:
-        local = kron(case["left"].build(), case["right"].build())
-        if not clo.space.contains_vector(graph.embed_vector(local, case["block"])):
+        gen = case["generator"]
+        if not clo.space.contains_vector(graph.embed_vector(gen.local_matrix(), gen.block)):
             witnesses.append(
                 {
                     "kind": "missing_member",
                     "family": case["family"],
                     "i": case["i"], "j": case["j"], "l": case["l"],
-                    "block": list(case["block"]),
+                    "block": list(gen.block),
                 }
             )
     return CheckResult.from_witnesses(

@@ -43,3 +43,23 @@ def dense_algebra_dimension(mats):
                     added = True
         if not added:
             return len(basis)
+
+
+def dense(matrix):
+    """Dense list-of-rows copy of an IntMatrix, read entry by entry."""
+    out = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+    for r, c, v in matrix.iter_entries():
+        out[r][c] = v
+    return out
+
+
+def dense_from_matrix_market(text):
+    """Dense rows of a coordinate Matrix Market text, read without the library."""
+    lines = text.splitlines()
+    nrows, ncols, nnz = (int(t) for t in lines[1].split())
+    assert len(lines) - 2 == nnz
+    out = [[0] * ncols for _ in range(nrows)]
+    for line in lines[2:]:
+        r, c, v = (int(t) for t in line.split())
+        out[r - 1][c - 1] = v
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,13 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from oddterw import (
-    GraphStructureError,
-    IntMatrix,
-    OddGraph,
-    load_report_schema,
-    read_matrix_market,
-)
+import oddterw
+from dense_oracle import dense_from_matrix_market
+from oddterw import GraphStructureError, IntMatrix, OddGraph, load_report_schema
 from oddterw.cli import RunConfig, main, run_verify
 from oddterw.report import CheckResult
 
@@ -21,25 +18,26 @@ from oddterw.report import CheckResult
 def test_build_m2(tmp_path, capsys):
     out = tmp_path / "m2"
     assert main(["build", "--m", "2", "--out", str(out)]) == 0
-    adjacency = read_matrix_market(out / "adjacency.mtx")
-    assert adjacency.shape == (10, 10)
-    assert adjacency.nnz == 30  # 15 edges, stored both ways
+    adjacency = dense_from_matrix_market((out / "adjacency.mtx").read_text())
+    assert (len(adjacency), len(adjacency[0])) == (10, 10)
+    assert sum(map(sum, adjacency)) == 30  # 15 edges, stored both ways, all entries 1
     manifest = json.loads((out / "vertices.json").read_text())
     assert manifest["m"] == 2
     assert manifest["class_offsets"] == [0, 1, 4]
     assert len(manifest["vertices"]) == 10
     for d in range(3):
-        e = read_matrix_market(out / f"estar_{d}.mtx")
-        assert e.shape == (10, 10)
-    assert read_matrix_market(out / "estar_0.mtx").nnz == 1
+        e = dense_from_matrix_market((out / f"estar_{d}.mtx").read_text())
+        assert (len(e), len(e[0])) == (10, 10)
+    assert dense_from_matrix_market((out / "estar_0.mtx").read_text())[0][0] == 1
+    assert sum(map(sum, dense_from_matrix_market((out / "estar_0.mtx").read_text()))) == 1
 
 
 def test_build_m3_edge_count(tmp_path):
     out = tmp_path / "m3"
     assert main(["build", "--m", "3", "--out", str(out)]) == 0
-    adjacency = read_matrix_market(out / "adjacency.mtx")
-    assert adjacency.shape == (35, 35)
-    assert adjacency.nnz == 140
+    adjacency = dense_from_matrix_market((out / "adjacency.mtx").read_text())
+    assert (len(adjacency), len(adjacency[0])) == (35, 35)
+    assert sum(map(sum, adjacency)) == 140
 
 
 def test_build_bad_m_exits_2(tmp_path, capsys):
@@ -178,6 +176,7 @@ def test_internal_error_surfaces_as_failed_check(tmp_path, monkeypatch):
     from oddterw import ClosureDivergenceError
 
     def diverging_closure(graph, prime=None, **kwargs):
+        time.sleep(0.05)
         raise ClosureDivergenceError("closure did not stabilize within 1 rounds at m=2")
 
     monkeypatch.setattr(cli_module, "closure", diverging_closure)
@@ -188,6 +187,7 @@ def test_internal_error_surfaces_as_failed_check(tmp_path, monkeypatch):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["closure-computation"]["status"] == "fail"
     assert by_name["closure-computation"]["witnesses"][0]["kind"] == "internal"
+    assert by_name["closure-computation"]["ms"] >= 50  # the failed attempt's time
     assert by_name["closure"]["status"] == "skipped"
     assert by_name["basis"]["status"] == "skipped"
     assert by_name["blocks"]["status"] == "pass"  # independent of the closure
@@ -235,6 +235,33 @@ def test_tampered_adjacency_fails_closure_computation(tmp_path, monkeypatch, cap
     assert by_name["containment"]["status"] == "skipped"
 
 
+def test_stray_zero_block_entry_fails_closure_computation(tmp_path, monkeypatch, capsys):
+    # a symmetric pair of entries in the zero block (0, 2): every admissible
+    # block still factors, so only the full blocks check inside the closure sees it
+    adjacency = OddGraph.adjacency
+
+    def stray_entry(self):
+        stray = self.class_offset(2)
+        entries = {(r, c): v for r, c, v in adjacency(self).iter_entries()}
+        entries[(0, stray)] = entries[(stray, 0)] = 1
+        return IntMatrix(self.num_vertices, self.num_vertices, entries)
+
+    monkeypatch.setattr(OddGraph, "adjacency", stray_entry)
+    out = tmp_path / "z"
+    checks = "closure,containment,memberships,basis"
+    rc = main(["verify", "--m", "3", "--checks", checks, "--out", str(out)])
+    assert rc == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, load_report_schema())
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["closure-computation"]["status"] == "fail"
+    witness = by_name["closure-computation"]["witnesses"][0]
+    assert witness["kind"] == "internal" and "(0, 2)" in witness["detail"]
+    for name in ("closure", "containment", "memberships", "basis"):
+        assert by_name[name]["status"] == "skipped"
+
+
 def test_closure_ms_includes_computing_the_closures(monkeypatch):
     import oddterw.cli as cli_module
 
@@ -250,6 +277,31 @@ def test_closure_ms_includes_computing_the_closures(monkeypatch):
     (check,) = report.checks
     assert check.name == "closure" and check.status == "pass"
     assert check.ms >= 50 * len(config.fields)
+
+
+@pytest.mark.parametrize(
+    "checks,owner",
+    [
+        (("containment",), "containment-closure-in-span[gf(1000000007)]"),
+        (("memberships", "basis"), "memberships[gf(1000000007)]"),
+        (("basis", "closure"), "closure"),
+    ],
+    ids=["first-containment-entry", "first-membership-entry", "closure-listed-last"],
+)
+def test_closure_ms_goes_to_first_entry_using_the_closures(monkeypatch, checks, owner):
+    import oddterw.cli as cli_module
+
+    real_closure = cli_module.closure
+
+    def slow_closure(graph, **kwargs):
+        time.sleep(0.05)
+        return real_closure(graph, **kwargs)
+
+    monkeypatch.setattr(cli_module, "closure", slow_closure)
+    config = RunConfig(m=1, checks=checks)
+    report = run_verify(config)
+    (entry,) = [c for c in report.checks if c.name == owner]
+    assert entry.ms >= 50 * len(config.fields)
 
 
 def test_run_config_validation():
@@ -281,10 +333,11 @@ def test_tdim_table(capsys):
     assert [row[3] for row in lines] == ["5", "15", "35", "70"]
 
 
-def test_tdim_skips_closure_above_ceiling(capsys):
-    from oddterw.cli import cmd_tdim
+def test_tdim_skips_closure_above_ceiling(monkeypatch, capsys):
+    import oddterw.cli as cli_module
 
-    assert cmd_tdim(3, closure_max=2) == 0
+    monkeypatch.setattr(cli_module, "DEFAULT_CLOSURE_MAX_M", 2)
+    assert cli_module.cmd_tdim(3) == 0
     out = capsys.readouterr().out
     assert "skipped" in out
 
@@ -306,11 +359,15 @@ def test_tdim_max_capped_at_identity_range(monkeypatch, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same sources as this process, installed or not
+    path = [str(Path(oddterw.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "oddterw.cli", "tdim", "--max", "1"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "5" in proc.stdout

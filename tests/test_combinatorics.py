@@ -36,7 +36,6 @@ def test_rank_against_enumeration_oracle():
     assert oracle.index((1, 2, 4)) == 6 == idx.rank((1, 2, 4))
     for r, subset in enumerate(oracle):
         assert idx.rank(subset) == r
-        assert idx.unrank(r) == subset
 
 
 def test_subsets_listing_matches_oracle():
@@ -45,22 +44,15 @@ def test_subsets_listing_matches_oracle():
             assert SubsetIndex(n, k).subsets() == colex_enumeration(n, k)
 
 
-def test_unrank_examples():
-    idx = SubsetIndex(5, 2)
-    assert idx.unrank(0) == (0, 1)
-    assert idx.unrank(9) == (3, 4)
-
-
 def test_rank_unrank_bijective_up_to_n_12():
+    # `subsets()` is the unranking: position r holds the subset of rank r
     for n in range(0, 13):
         for k in range(0, n + 1):
             idx = SubsetIndex(n, k)
-            seen = set()
-            for r in range(idx.count):
-                s = idx.unrank(r)
+            listing = idx.subsets()
+            assert len(set(listing)) == len(listing) == idx.count
+            for r, s in enumerate(listing):
                 assert idx.rank(s) == r
-                seen.add(s)
-            assert len(seen) == idx.count
 
 
 def test_rank_rejects_malformed_subsets():
@@ -73,14 +65,6 @@ def test_rank_rejects_malformed_subsets():
         idx.rank((2, 1))  # not increasing
     with pytest.raises(ParameterError):
         idx.rank((1, 1))  # repeated element
-
-
-def test_unrank_rejects_out_of_range():
-    idx = SubsetIndex(5, 2)
-    with pytest.raises(ParameterError):
-        idx.unrank(10)
-    with pytest.raises(ParameterError):
-        idx.unrank(-1)
 
 
 def test_subset_index_rejects_bad_parameters():

@@ -19,9 +19,19 @@ def all_ones(nrows, ncols):
     return IntMatrix(nrows, ncols, {(r, c): 1 for r in range(nrows) for c in range(ncols)})
 
 
+def combination(coeffs, i, k, v):
+    """sum_g coeffs[g] * H(i, k, g, v), entry by entry; the supports must be disjoint."""
+    entries = {}
+    for g, c in coeffs.items():
+        for r, col, _ in intersection_matrix(i, k, g, v).iter_entries():
+            assert (r, col) not in entries
+            entries[(r, col)] = c
+    return IntMatrix(binomial(v, i), binomial(v, k), entries)
+
+
 def test_singleton_matrices():
     assert intersection_matrix(1, 1, 1, 2) == IntMatrix.identity(2)
-    assert intersection_matrix(1, 1, 0, 2) == IntMatrix.from_dense([[0, 1], [1, 0]])
+    assert intersection_matrix(1, 1, 0, 2) == IntMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
 
 
 def test_row_sums_count_choices():
@@ -55,9 +65,7 @@ def test_partition_of_all_ones():
     for v in range(0, 6):
         for i in range(v + 1):
             for j in range(v + 1):
-                total = IntMatrix.zeros(binomial(v, i), binomial(v, j))
-                for l in intersection_range(i, j, v):
-                    total = total + intersection_matrix(i, j, l, v)
+                total = combination({l: 1 for l in intersection_range(i, j, v)}, i, j, v)
                 assert total == all_ones(binomial(v, i), binomial(v, j))
 
 
@@ -118,10 +126,7 @@ def test_squared_disjointness_matrix_against_expansion():
     v = 5
     direct = intersection_matrix(2, 2, 0, v) @ intersection_matrix(2, 2, 0, v)
     coeffs = product_expansion(2, 2, 2, 0, 0, v)
-    total = IntMatrix.zeros(binomial(v, 2), binomial(v, 2))
-    for g, c in coeffs.items():
-        total = total + c * intersection_matrix(2, 2, g, v)
-    assert direct == total
+    assert direct == combination(coeffs, 2, 2, v)
     assert decompose_product(direct, 2, 2, v) == coeffs
 
 
@@ -157,7 +162,5 @@ def test_direct_matrix_reconstruction_small():
                     for l in intersection_range(i, j, v):
                         for s in intersection_range(j, k, v):
                             direct = intersection_matrix(i, j, l, v) @ intersection_matrix(j, k, s, v)
-                            total = IntMatrix.zeros(binomial(v, i), binomial(v, k))
-                            for g, c in product_expansion(i, j, k, l, s, v).items():
-                                total = total + c * intersection_matrix(i, k, g, v)
-                            assert direct == total
+                            expansion = product_expansion(i, j, k, l, s, v)
+                            assert direct == combination(expansion, i, k, v)

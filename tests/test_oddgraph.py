@@ -21,9 +21,6 @@ def test_build_rejects_bad_m():
         OddGraph(0)
     with pytest.raises(ParameterError):
         OddGraph(7)
-    OddGraph(3, max_m=3)
-    with pytest.raises(ParameterError):
-        OddGraph(4, max_m=3)
 
 
 def test_m2_is_petersen(graph_factory):
@@ -79,18 +76,25 @@ def test_class_sizes_by_intersection_count(graph_factory):
 
 def test_dual_idempotents(graph_factory):
     g = graph_factory(3)
-    total = IntMatrix.zeros(g.num_vertices, g.num_vertices)
+    covered = []
     for d in range(4):
         e = g.dual_idempotent(d)
-        total = total + e
+        covered += e.vectorize().items()
         for d2 in range(4):
             prod = e @ g.dual_idempotent(d2)
             assert prod == (e if d == d2 else IntMatrix.zeros(g.num_vertices, g.num_vertices))
-    assert total == IntMatrix.identity(g.num_vertices)
+    # the projectors sum to the identity: together they hit each diagonal entry once, with 1
+    assert sorted(covered) == sorted(IntMatrix.identity(g.num_vertices).vectorize().items())
     e0 = g.dual_idempotent(0)
     assert e0.nnz == 1 and e0.entry(0, 0) == 1
     with pytest.raises(ParameterError):
         g.dual_idempotent(4)
+
+
+def embedded(g, local, block):
+    """The n x n matrix whose row-major coordinates `embed_vector` gives."""
+    n = g.num_vertices
+    return IntMatrix(n, n, {divmod(k, n): v for k, v in g.embed_vector(local, block).items()})
 
 
 def test_extract_embed_inverse(graph_factory):
@@ -98,11 +102,11 @@ def test_extract_embed_inverse(graph_factory):
     a = g.adjacency()
     for block in g.admissible_blocks():
         local = g.extract_block(a, block)
-        assert g.extract_block(g.embed(local, block), block) == local
+        assert g.extract_block(embedded(g, local, block), block) == local
         other = (block[0], (block[1] + 1) % (g.m + 1))
-        assert g.extract_block(g.embed(local, block), other).is_zero() or other == block
+        assert g.extract_block(embedded(g, local, block), other).is_zero() or other == block
     zero_local = IntMatrix.zeros(g.class_size(1), g.class_size(2))
-    assert g.embed(zero_local, (1, 2)).is_zero()
+    assert g.embed_vector(zero_local, (1, 2)) == {}
     assert g.extract_block(IntMatrix.identity(10), (2, 2)) == IntMatrix.identity(6)
 
 
@@ -121,7 +125,11 @@ def test_embed_vector_matches_embed(graph_factory):
                 if rng.random() < 0.4
             }
             local = IntMatrix(nr, nc, entries)
-            assert g.embed_vector(local, (p, q)) == g.embed(local, (p, q)).vectorize()
+            # the embedding written out entry by entry: local (r, c) sits at
+            # ambient (offset_p + r, offset_q + c)
+            r0, c0, n = g.class_offset(p), g.class_offset(q), g.num_vertices
+            expected = {(r0 + r) * n + c0 + c: v for (r, c), v in entries.items()}
+            assert g.embed_vector(local, (p, q)) == expected
 
 
 def test_shape_errors(graph_factory):
@@ -129,7 +137,7 @@ def test_shape_errors(graph_factory):
     with pytest.raises(ShapeError):
         g.extract_block(IntMatrix.zeros(9, 9), (0, 0))
     with pytest.raises(ShapeError):
-        g.embed(IntMatrix.zeros(3, 3), (1, 2))
+        g.embed_vector(IntMatrix.zeros(3, 3), (1, 2))
 
 
 def test_non_admissible_blocks_vanish(graph_factory):
@@ -165,15 +173,33 @@ def test_expected_factors_cover_all_nonzero_blocks():
         assert nonzero == expected
 
 
-def test_flipped_entry_reported_with_witness(graph_factory):
+@pytest.mark.parametrize(
+    "changes,witness",
+    [
+        # added inside the admissible block (1, 2): vertices 2 and 7 are not adjacent
+        ({(2, 7): 1},
+         {"kind": "block_mismatch", "block": [1, 2], "entry": [1, 3], "got": 1, "expected": 0}),
+        # removed from the admissible block (0, 1): vertex 3 is a neighbour of the base vertex
+        ({(0, 3): 0},
+         {"kind": "block_mismatch", "block": [0, 1], "entry": [0, 2], "got": 0, "expected": 1}),
+        # the base vertex loses all its neighbours: row 0 of block (0, 1) is expected only
+        ({(0, 1): 0, (0, 2): 0, (0, 3): 0},
+         {"kind": "block_mismatch", "block": [0, 1], "entry": [0, 0], "got": 0, "expected": 1}),
+        # vertex 5 is at distance 2 from the base vertex: the zero block (0, 2)
+        ({(0, 5): 1},
+         {"kind": "zero_block_violated", "block": [0, 2], "entry": [0, 1], "got": 1, "expected": 0}),
+    ],
+    ids=["added", "removed", "removed-row", "zero-block"],
+)
+def test_flipped_entry_reported_with_witness(graph_factory, changes, witness):
     g = graph_factory(2)
     entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
-    entries[(0, 5)] = 1  # vertex 5 is at distance 2 from the base vertex
-    tampered = IntMatrix(10, 10, entries)
-    result = verify_adjacency_blocks(g, adjacency=tampered)
+    assert all(entries.get(k, 0) != v for k, v in changes.items())
+    entries.update(changes)  # the constructor drops the zeros
+    result = verify_adjacency_blocks(g, adjacency=IntMatrix(10, 10, entries))
     assert result.status == "fail"
-    assert any(w["kind"] in ("zero_block_violated", "block_mismatch") for w in result.witnesses)
-    assert any("entry" in w for w in result.witnesses)
+    # the fault is one-sided, so the opposite block is no longer its transpose
+    assert result.witnesses == [witness, {"kind": "symmetry_violated", "block": witness["block"]}]
 
 
 def test_vertex_manifest(graph_factory):

@@ -51,11 +51,21 @@ class FractionSpanOracle:
         return len(self.rows)
 
 
-def dense_of(matrix, nrows, ncols):
-    flat = [0] * (nrows * ncols)
-    for r, c, v in matrix.iter_entries():
-        flat[r * ncols + c] = v
+def dense_of(vec, length):
+    flat = [0] * length
+    for c, v in vec.items():
+        flat[c] = v
     return flat
+
+
+def combination(rng, pool, k, lo, hi):
+    """Random integer combination of k vectors drawn from `pool`."""
+    out = {}
+    for vec in rng.sample(pool, k):
+        f = rng.randint(lo, hi)
+        for c, v in vec.items():
+            out[c] = out.get(c, 0) + f * v
+    return out
 
 
 def check_structural_invariants(space):
@@ -81,17 +91,14 @@ def check_structural_invariants(space):
 def test_space_against_fraction_oracle(prime, seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
-    space = MatrixSpace(nrows, ncols, prime=prime)
-    oracle = FractionSpanOracle(nrows * ncols)
+    length = nrows * ncols
+    space = MatrixSpace(prime=prime)
+    oracle = FractionSpanOracle(length)
     pool = []
     for step in range(60):
         if pool and rng.random() < 0.45:
             # linear combination of earlier inserts: must already be in span
-            k = rng.randint(1, min(3, len(pool)))
-            combo = IntMatrix.zeros(nrows, ncols)
-            for m in rng.sample(pool, k):
-                combo = combo + rng.randint(-3, 3) * m
-            candidate = combo
+            candidate = combination(rng, pool, rng.randint(1, min(3, len(pool))), -3, 3)
         else:
             candidate = IntMatrix(
                 nrows, ncols,
@@ -101,9 +108,9 @@ def test_space_against_fraction_oracle(prime, seed):
                     for c in range(ncols)
                     if rng.random() < 0.5
                 },
-            )
-        expected_new = oracle.insert(dense_of(candidate, nrows, ncols))
-        got_new = space.insert(candidate)
+            ).vectorize()
+        expected_new = oracle.insert(dense_of(candidate, length))
+        got_new = space.insert_vector(candidate)
         # GF(p) can only disagree with the rationals when a nonzero minor is
         # divisible by p; the fixed seeds keep this deterministic and verified
         assert got_new == expected_new, f"step {step}"
@@ -114,38 +121,35 @@ def test_space_against_fraction_oracle(prime, seed):
     # random fresh matrices agree with the oracle either way
     for _ in range(20):
         k = rng.randint(1, min(4, len(pool)))
-        combo = IntMatrix.zeros(nrows, ncols)
-        for m in rng.sample(pool, k):
-            combo = combo + rng.randint(-5, 5) * m
-        assert space.contains(combo)
+        assert space.contains_vector(combination(rng, pool, k, -5, 5))
     for _ in range(20):
         probe = IntMatrix(
             nrows, ncols,
             {(r, c): rng.randint(-6, 6) for r in range(nrows) for c in range(ncols) if rng.random() < 0.4},
-        )
-        assert space.contains(probe) == oracle.contains(dense_of(probe, nrows, ncols))
+        ).vectorize()
+        assert space.contains_vector(probe) == oracle.contains(dense_of(probe, length))
 
 
 def test_exact_mode_handles_content_growth():
     # vectors engineered so eliminations need both scaling directions
-    space = MatrixSpace(1, 4, prime=None)
-    m1 = IntMatrix(1, 4, {(0, 0): 6, (0, 1): 10, (0, 2): 15})
-    m2 = IntMatrix(1, 4, {(0, 0): 4, (0, 1): 9, (0, 3): 25})
-    m3 = IntMatrix(1, 4, {(0, 1): 7, (0, 2): 49})
+    space = MatrixSpace(prime=None)
+    m1 = {0: 6, 1: 10, 2: 15}
+    m2 = {0: 4, 1: 9, 3: 25}
+    m3 = {1: 7, 2: 49}
     for m in (m1, m2, m3):
-        assert space.insert(m)
+        assert space.insert_vector(m)
     check_structural_invariants(space)
     # an integer combination with large coefficients reduces to zero
-    combo = 35 * m1 + (-21) * m2 + 15 * m3
-    assert space.contains(combo)
-    assert not space.contains(combo + IntMatrix(1, 4, {(0, 3): 1}))
+    combo = {c: 35 * m1.get(c, 0) - 21 * m2.get(c, 0) + 15 * m3.get(c, 0) for c in range(4)}
+    assert space.contains_vector(combo)
+    assert not space.contains_vector({**combo, 3: combo[3] + 1})
 
 
 def test_closure_m2_against_dense_oracle(graph_factory, closure_factory):
     # same independent pairwise-product oracle as the m=1 case, at the next size
-    from dense_oracle import dense_algebra_dimension
+    from dense_oracle import dense, dense_algebra_dimension
 
     g = graph_factory(2)
-    mats = [IntMatrix.identity(10).to_dense(), g.adjacency().to_dense()]
-    mats += [g.dual_idempotent(d).to_dense() for d in range(3)]
+    mats = [dense(IntMatrix.identity(10)), dense(g.adjacency())]
+    mats += [dense(g.dual_idempotent(d)) for d in range(3)]
     assert dense_algebra_dimension(mats) == 15 == closure_factory(2).dimension

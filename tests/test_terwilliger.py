@@ -51,8 +51,8 @@ def block_matrix_closure(graph, prime, shuffle=None):
     taken on the full block instead of on its Kronecker factors.  Returns
     (space, rounds, products).
     """
-    m, n = graph.m, graph.num_vertices
-    space = MatrixSpace(n, n, prime=prime)
+    m = graph.m
+    space = MatrixSpace(prime=prime)
     adjacency_blocks = {
         block: graph.extract_block(graph.adjacency(), block)
         for block in graph.admissible_blocks()
@@ -140,13 +140,13 @@ def test_generator_shapes_match_blocks(graph_factory):
 
 
 def test_closure_m1_against_dense_oracle(graph_factory, closure_factory):
-    from dense_oracle import dense_algebra_dimension
+    from dense_oracle import dense, dense_algebra_dimension
 
     g = graph_factory(1)
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    adjacency = g.adjacency().to_dense()
-    e0 = g.dual_idempotent(0).to_dense()
-    e1 = g.dual_idempotent(1).to_dense()
+    adjacency = dense(g.adjacency())
+    e0 = dense(g.dual_idempotent(0))
+    e1 = dense(g.dual_idempotent(1))
     oracle_dim = dense_algebra_dimension([identity, adjacency, e0, e1])
     assert oracle_dim == 5 == binomial(5, 4)
     assert closure_factory(1).dimension == oracle_dim
@@ -196,6 +196,21 @@ def test_tampered_adjacency_fails_closure_seeding():
         closure(g)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_stray_zero_block_entry_fails_closure_seeding(m):
+    # a symmetric pair of entries in the zero block (0, 2) leaves every
+    # admissible block intact; the closure must still refuse the graph
+    from oddterw import GraphStructureError, OddGraph
+
+    g = OddGraph(m)
+    stray = g.class_offset(2)
+    entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
+    entries[(0, stray)] = entries[(stray, 0)] = 1
+    g._adjacency = IntMatrix(g.num_vertices, g.num_vertices, entries)
+    with pytest.raises(GraphStructureError, match=r"adjacency block \(0, 2\)"):
+        closure(g)
+
+
 def test_closure_divergence_cap():
     from oddterw import OddGraph
 
@@ -209,11 +224,13 @@ def test_closure_stabilized_under_all_generators(graph_factory, closure_factory,
     # either side stays inside the span
     g = graph_factory(m)
     clo = closure_factory(m)
+    n = g.num_vertices
     generators = [g.adjacency()] + [g.dual_idempotent(d) for d in range(m + 1)]
-    for basis_matrix in clo.space.basis_matrices():
+    for _, row in clo.space.iter_basis():
+        basis_matrix = IntMatrix(n, n, {divmod(k, n): v for k, v in row.items()})
         for gen in generators:
-            assert clo.space.contains(gen @ basis_matrix)
-            assert clo.space.contains(basis_matrix @ gen)
+            assert clo.space.contains_vector((gen @ basis_matrix).vectorize())
+            assert clo.space.contains_vector((basis_matrix @ gen).vectorize())
 
 
 def test_closure_basis_elements_live_on_single_blocks(graph_factory, closure_factory):
@@ -241,14 +258,38 @@ def test_both_containments_pass(graph_factory, m, prime):
 
 def test_adjacency_in_generator_span(graph_factory):
     g = graph_factory(3)
-    span = generator_span(g, block_generators(3), DEFAULT_PRIMES[0])
-    assert span.contains(g.adjacency())
-    assert span.contains(IntMatrix.identity(g.num_vertices))
+    span, dependent = generator_span(g, block_generators(3), DEFAULT_PRIMES[0])
+    assert dependent == []
+    assert span.contains_vector(g.adjacency().vectorize())
+    assert span.contains_vector(IntMatrix.identity(g.num_vertices).vectorize())
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_projector_factorizations(graph_factory, m):
     assert projector_factor_mismatches(graph_factory(m)) == []
+
+
+def test_projector_outside_its_block_reported():
+    # E_1* with one extra diagonal entry in class 2: its (1, 1) block still
+    # matches the factors, so only the check outside that block catches it
+    from oddterw import OddGraph
+
+    g = OddGraph(2)
+    dual_idempotent = g.dual_idempotent
+
+    def leaky(d):
+        e = dual_idempotent(d)
+        if d != 1:
+            return e
+        entries = {(r, c): v for r, c, v in e.iter_entries()}
+        entries[(9, 9)] = 1
+        return IntMatrix(10, 10, entries)
+
+    g.dual_idempotent = leaky
+    assert projector_factor_mismatches(g) == [
+        {"kind": "projector_mismatch", "class": 1,
+         "left": "H(i=0,j=0,l=0,v=2)", "right": "H(i=2,j=2,l=2,v=3)"}
+    ]
 
 
 def test_dropped_generator_breaks_containment(graph_factory, closure_factory):
@@ -283,9 +324,9 @@ def test_duplicated_generator_breaks_independence(graph_factory, closure_factory
 def test_inserting_generator_matrices_all_new(graph_factory):
     # the m = 2 family: 15 inserts, every one grows the span
     g = graph_factory(2)
-    space = MatrixSpace(g.num_vertices, g.num_vertices)
+    space = MatrixSpace()
     for gen in block_generators(2):
-        assert space.insert(g.embed(gen.local_matrix(), gen.block))
+        assert space.insert_vector(g.embed_vector(gen.local_matrix(), gen.block))
     assert space.dim == 15
 
 
@@ -320,7 +361,7 @@ def test_specific_membership_m3(graph_factory, closure_factory):
     g = graph_factory(3)
     clo = closure_factory(3)
     local = kron(intersection_matrix(0, 1, 0, 3), intersection_matrix(3, 2, 2, 4))
-    assert clo.space.contains(g.embed(local, (1, 3)))
+    assert clo.space.contains_vector(g.embed_vector(local, (1, 3)))
 
 
 # -- closure is an algebra: chains and block products ----------------------------
@@ -391,7 +432,8 @@ def test_dimension_formula_values(m, expected):
 
 
 def test_dimension_formula_sweep():
-    dimension_formula(200, check_up_to=200)
+    for m in range(1, 201):
+        dimension_formula(m)
 
 
 def test_dimension_formula_rejects_bad_m():
