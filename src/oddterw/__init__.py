@@ -3,6 +3,7 @@
 from .combinatorics import SubsetIndex, binomial, intersection_range
 from .errors import (
     ClosureDivergenceError,
+    EliminationDivergenceError,
     FormulaError,
     GraphStructureError,
     OddTerwError,

@@ -41,7 +41,7 @@ CHECK_NAMES = ("products", "blocks", "closure", "containment", "memberships", "b
 CLOSURE_CHECKS = {"closure", "containment", "memberships", "basis"}
 DEFAULT_SWEEP_MAX = 7
 #: Sweeping above this ground size needs --allow-large: v = 9 alone takes
-#: tens of seconds, and the cost grows super-exponentially.
+#: about 10 s, and the cost grows super-exponentially.
 SWEEP_MAX_CEILING = 8
 DIMENSION_IDENTITY_MAX = 200
 

@@ -21,6 +21,15 @@ class ClosureDivergenceError(OddTerwError, RuntimeError):
     """
 
 
+class EliminationDivergenceError(OddTerwError, RuntimeError):
+    """Row reduction of one vector did not finish within dim + 1 pivot eliminations.
+
+    Correct elimination fires each pivot at most once per reduction pass,
+    so this means the field arithmetic is broken, not that the input is
+    hard; raising it keeps a broken kernel from looping forever.
+    """
+
+
 class FormulaError(OddTerwError, ArithmeticError):
     """A counting identity that must hold numerically failed to hold."""
 

@@ -5,6 +5,15 @@ arithmetic runs either over GF(p) for a configured prime p or over the
 rationals via fraction-free integer elimination.  No floating point is used
 anywhere in this module.
 
+`IntMatrix.__matmul__` is the one product kernel for every caller.  It
+packs each row of the right factor into a single Python integer, one
+fixed-width bit field per column, wide enough for every entry of the
+product, so a result row costs one big-integer add per nonzero of the left
+row; the row is read back through `int.to_bytes` and a signed `array`.
+Both reduction loops of `MatrixSpace` stop with `EliminationDivergenceError`
+after dim + 1 pivot eliminations of one vector, which correct arithmetic
+never needs, so a broken field kernel fails instead of looping forever.
+
 IntMatrix values are immutable after construction and safe to share between
 threads.  MatrixSpace is single-writer: readers are fine once insertion
 stops, but concurrent insertions must be serialized by the caller.
@@ -12,10 +21,13 @@ stops, but concurrent insertions must be serialized by the caller.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import chain, compress
 from math import gcd
 from pathlib import Path
 
-from .errors import ParameterError, ShapeError
+from .errors import EliminationDivergenceError, ParameterError, ShapeError
 
 #: Default prime for span arithmetic, with a second prime for confirmation
 #: passes.  Both exceed 10**6 so small integer coefficients cannot collide
@@ -24,6 +36,11 @@ DEFAULT_PRIMES = (1_000_000_007, 998_244_353)
 DEFAULT_PRIME = DEFAULT_PRIMES[0]
 
 MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
+
+# Signed array typecodes by item size, for reading matmul fields of 8 to 64
+# bits; wider fields are sliced from the bytes one by one.
+_SIGNED_BY_SIZE = {array(t).itemsize: t for t in "bhiq"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class IntMatrix:
@@ -104,22 +121,59 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Exact product, one big-integer add per nonzero of `self`.
+
+        Each row of `other` is packed once into an integer with column c in
+        the W-bit field at bit W*c, where W is the smallest of 8, 16, 32, 64,
+        128, ... with max|self| * max|other| * inner dimension < 2**(W-1).
+        A result row is the sum of a * packed[k] over the nonzeros a at
+        (row, k): the integer with the row's entries as its base-2**W
+        digits.  No entry reaches 2**(W-1) in absolute value, so adding a
+        bias of 2**(W-1) in every field leaves each field in [1, 2**W - 1]
+        with no carry across fields, and flipping each field's top bit then
+        gives the entry in W-bit two's complement.  The fields are read back
+        with a signed `array`, or past 64 bits with `int.from_bytes`.
+        """
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        ncols = other.ncols
         orows = other._rows
+        if not self._rows or not orows:
+            return IntMatrix._wrap(self.nrows, ncols, {})
+        bound = _max_abs(self._rows) * _max_abs(orows) * self.ncols
+        nbytes = 1
+        while bound >= 1 << (8 * nbytes - 1):
+            nbytes *= 2
+        width = 8 * nbytes
+        packed = [0] * other.nrows  # a row of zeros packs to 0
+        for k, row in orows.items():
+            word = 0
+            for c, b in row.items():
+                word += b << (width * c)
+            packed[k] = word
+        biased = int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
+        size = nbytes * ncols
+        typecode = _SIGNED_BY_SIZE.get(nbytes)
         rows = {}
         for r, row in self._rows.items():
-            acc: dict[int, int] = {}
+            acc = 0
             for k, a in row.items():
-                brow = orows.get(k)
-                if brow is None:
-                    continue
-                for c, b in brow.items():
-                    acc[c] = acc.get(c, 0) + a * b
-            acc = {c: v for c, v in acc.items() if v}
-            if acc:
-                rows[r] = acc
-        return IntMatrix._wrap(self.nrows, other.ncols, rows)
+                acc += packed[k] if a == 1 else a * packed[k]
+            if not acc:  # base-2**W digits in range are unique: this row is zero
+                continue
+            raw = ((acc + biased) ^ biased).to_bytes(size, "little")
+            if typecode is None:
+                fields = [
+                    int.from_bytes(raw[i : i + nbytes], "little", signed=True)
+                    for i in range(0, size, nbytes)
+                ]
+            else:
+                fields = array(typecode, raw)
+                if _BIG_ENDIAN:
+                    fields.byteswap()
+            # the (column, entry) pairs whose entry is nonzero
+            rows[r] = dict(compress(enumerate(fields), fields))
+        return IntMatrix._wrap(self.nrows, ncols, rows)
 
     def transpose(self) -> "IntMatrix":
         rows: dict[int, dict[int, int]] = {}
@@ -132,6 +186,11 @@ class IntMatrix:
         """Row-major flattening: coordinate r*ncols + c maps to the entry value."""
         ncols = self.ncols
         return {r * ncols + c: v for r, row in self._rows.items() for c, v in row.items()}
+
+
+def _max_abs(rows: dict[int, dict[int, int]]) -> int:
+    return max(map(abs, chain.from_iterable(map(dict.values, rows.values()))))
+
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product with index convention
@@ -249,25 +308,41 @@ class MatrixSpace:
     def _reduce_leading(self, v: dict[int, int]):
         # Eliminate the leading coordinate while it is a pivot.  Elimination
         # only introduces coordinates beyond the fired pivot, so the leading
-        # coordinate strictly increases and the loop terminates.
+        # coordinate strictly increases and at most dim pivots fire.
         rows = self._rows
+        dim, fired = len(rows), 0
         while v:
             c = min(v)
             row = rows.get(c)
             if row is None:
                 return
+            if fired > dim:
+                raise self._divergence(fired)
             self._eliminate(v, row, c)
+            fired += 1
 
     def _reduce_tail(self, v: dict[int, int], piv: int):
         # Clear every pivot coordinate other than `piv` so stored rows stay
         # in reduced echelon form.  Basis rows contain no foreign pivots, so
         # each hit is processed at most once in ascending order.
         rows = self._rows
+        dim, fired = len(rows), 0
         while True:
             hit = min((c for c in v if c != piv and c in rows), default=None)
             if hit is None:
                 return
+            if fired > dim:
+                raise self._divergence(fired)
             self._eliminate(v, rows[hit], hit)
+            fired += 1
+
+    def _divergence(self, fired: int) -> EliminationDivergenceError:
+        # Both reduction loops fire at most dim pivots when the arithmetic is
+        # right; they stop after dim + 1 rather than loop forever.
+        return EliminationDivergenceError(
+            f"reducing one vector did not finish after {fired} pivot eliminations "
+            f"against a basis of dimension {len(self._rows)} over {self.field_name}"
+        )
 
     def _eliminate(self, v: dict[int, int], row: dict[int, int], c: int):
         p = self.prime

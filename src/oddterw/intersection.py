@@ -6,6 +6,14 @@ the same ground set decompose in the family {H(i, k, g, v)}, whose members
 have pairwise disjoint supports; both the closed-form coefficients and an
 entry-reading decomposition are provided so each can check the other.
 
+`product_formula_failures` is the `products` check.  For every admissible
+pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
+`IntMatrix.__matmul__`, then `decompose_product` reads every entry of the
+product back: the class of entry (r, c) is the popcount of the AND of the
+bit masks of subsets r and c, taken from `SubsetIndex.subsets()` and not
+from the intersection matrices, so a wrong `intersection_matrix` cannot
+vouch for itself.
+
 All functions here are pure and safe for unsynchronized concurrent use.
 """
 
@@ -108,8 +116,9 @@ def disjoint_product_expansion(i: int, j: int, k: int, l: int, v: int) -> dict[i
 
 
 @lru_cache(maxsize=None)
-def _subset_sets(v: int, size: int) -> list[frozenset]:
-    return [frozenset(s) for s in SubsetIndex(v, size).subsets()]
+def _subset_masks(v: int, size: int) -> list[int]:
+    """Bit masks of the size-subsets of a v-set, in colex order: element e is bit e."""
+    return [sum(1 << e for e in s) for s in SubsetIndex(v, size).subsets()]
 
 
 def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, int]:
@@ -117,29 +126,41 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
 
     Works because the family members have pairwise disjoint supports: the
     coefficient of H(i,k,g,v) is just the entry value on any pair meeting in
-    g points.  Raises ParameterError if `product` is not constant on
-    intersection classes, i.e. not in the span of the family at all.
+    g points.  The class of an entry (r, c) is the popcount of the AND of
+    the bit masks of row subset r and column subset c; the masks come from
+    the subsets themselves, not from the intersection matrices.  Raises
+    ParameterError if `product` is not constant on intersection classes,
+    i.e. not in the span of the family at all.
     """
     if product.shape != (binomial(v, i), binomial(v, k)):
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
-    rows = _subset_sets(v, i)
-    cols = _subset_sets(v, k)
-    coeffs: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for r, c, val in product.iter_entries():
-        g = len(rows[r] & cols[c])
-        if coeffs.setdefault(g, val) != val:
-            raise ParameterError(
-                f"not constant on intersection classes: class {g} holds both {coeffs[g]} and {val}"
-            )
-        counts[g] = counts.get(g, 0) + 1
-    for g, coeff in coeffs.items():
+    row_masks = _subset_masks(v, i)
+    col_masks = _subset_masks(v, k)
+    # indexed by class g, which is at most v; `seen` keeps first-seen order
+    values: list[int | None] = [None] * (v + 1)
+    counts = [0] * (v + 1)
+    seen: list[int] = []
+    rows = product._rows
+    for r in sorted(rows):
+        row_mask = row_masks[r]
+        for c, val in rows[r].items():
+            g = (row_mask & col_masks[c]).bit_count()
+            held = values[g]
+            if held != val:
+                if held is not None:
+                    raise ParameterError(
+                        f"not constant on intersection classes: class {g} holds both {held} and {val}"
+                    )
+                values[g] = val
+                seen.append(g)
+            counts[g] += 1
+    for g in seen:
         # Every pair in class g must carry the value, otherwise part of the
         # class is zero and the matrix is outside the span.
         class_size = binomial(v, i) * binomial(i, g) * binomial(v - i, k - g)
         if counts[g] != class_size:
             raise ParameterError(f"class {g} only partially covered ({counts[g]} of {class_size})")
-    return coeffs
+    return {g: values[g] for g in seen}
 
 
 def product_formula_failures(v: int) -> list[dict]:

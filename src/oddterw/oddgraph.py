@@ -233,7 +233,7 @@ def _first_difference(got: IntMatrix, expected: IntMatrix):
     return None
 
 
-def verify_adjacency_blocks(graph: OddGraph, adjacency: IntMatrix | None = None) -> CheckResult:
+def verify_adjacency_blocks(graph: OddGraph) -> CheckResult:
     """Entry-exact check of the adjacency matrix against its block Kronecker structure.
 
     Verifies that non-admissible blocks vanish (the graph is almost
@@ -241,7 +241,7 @@ def verify_adjacency_blocks(graph: OddGraph, adjacency: IntMatrix | None = None)
     intersection matrices under the canonical order, and that opposite
     blocks are mutual transposes.
     """
-    a = adjacency if adjacency is not None else graph.adjacency()
+    a = graph.adjacency()
     m = graph.m
     witnesses = []
     blocks = {}

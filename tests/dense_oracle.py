@@ -8,9 +8,10 @@ span machinery so it can act as a cross-check.
 from fractions import Fraction
 
 
-def dense_matmul(a, b):
-    n = len(a)
-    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+def dense_matmul(a, b, ncols):
+    """The textbook triple loop on dense row lists; `ncols` is b's column count,
+    which an empty `b` cannot tell."""
+    return [[sum(a[r][k] * b[k][c] for k in range(len(b))) for c in range(ncols)] for r in range(len(a))]
 
 
 def dense_algebra_dimension(mats):
@@ -37,7 +38,7 @@ def dense_algebra_dimension(mats):
         snapshot = list(elements)
         for a in snapshot:
             for b in snapshot:
-                p = dense_matmul(a, b)
+                p = dense_matmul(a, b, len(a))
                 if insert([x for row in p for x in row]):
                     elements.append(p)
                     added = True

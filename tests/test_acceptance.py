@@ -183,14 +183,16 @@ def test_criterion_8_property_suites(graph_factory, closure_factory):
     _report(8, "property suites", not problems, str(problems[:5]))
 
 
-def test_criterion_9_fault_injection(graph_factory, closure_factory):
+def test_criterion_9_fault_injection(graph_factory, closure_factory, monkeypatch):
     problems = []
 
     # flipped adjacency entry
     g = graph_factory(2)
     entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
     entries[(0, 5)] = 1
-    tampered = verify_adjacency_blocks(g, adjacency=IntMatrix(10, 10, entries))
+    with monkeypatch.context() as patch:
+        patch.setattr(g, "adjacency", lambda: IntMatrix(10, 10, entries))
+        tampered = verify_adjacency_blocks(g)
     if tampered.status != "fail" or not tampered.witnesses:
         problems.append("flipped adjacency entry not detected with a witness")
 

@@ -147,7 +147,7 @@ def test_verify_rejects_bad_parameters(tmp_path, capsys):
     assert main(products + ["--sweep-max", "-5"]) == 2
     assert main(products + ["--sweep-max", "9"]) == 2
     assert "--sweep-max above 8 needs --allow-large" in capsys.readouterr().err
-    # the ceiling itself and opted-in larger sweeps validate (not run: v = 9 takes tens of seconds)
+    # the ceiling itself and opted-in larger sweeps validate (not run: v = 9 alone takes about 10 s)
     RunConfig(m=2, checks=("products",), sweep_max=8)
     RunConfig(m=2, checks=("products",), sweep_max=9, allow_large=True)
 
@@ -155,7 +155,7 @@ def test_verify_rejects_bad_parameters(tmp_path, capsys):
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
     import oddterw.cli as cli_module
 
-    def failing_blocks(graph, adjacency=None):
+    def failing_blocks(graph):
         return CheckResult(
             name="adjacency-blocks",
             status="fail",

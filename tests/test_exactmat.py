@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from dense_oracle import dense, dense_from_matrix_market
+from dense_oracle import dense, dense_from_matrix_market, dense_matmul
 from oddterw import (
     DEFAULT_PRIMES,
+    EliminationDivergenceError,
     IntMatrix,
     MatrixSpace,
     ParameterError,
@@ -118,6 +119,73 @@ def test_kron_matches_dense_triple_loop():
         # no stored zeros or empty rows
         entries = {(r, c): v for r, row in enumerate(expected) for c, v in enumerate(row)}
         assert k == IntMatrix(*k.shape, entries)
+
+
+def assert_matmul_matches_dense(a, b):
+    before = (a.shape, list(a.iter_entries()), b.shape, list(b.iter_entries()))
+    product = a @ b
+    assert product.shape == (a.nrows, b.ncols)
+    assert dense(product) == dense_matmul(dense(a), dense(b), b.ncols)
+    # no stored zeros or empty rows, and both operands left as they were
+    assert all(row and all(row.values()) for row in product._rows.values())
+    assert before == (a.shape, list(a.iter_entries()), b.shape, list(b.iter_entries()))
+    return product
+
+
+def test_matmul_matches_dense_triple_loop():
+    rng = random.Random(43)
+    for trial in range(60):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a, b = random_sparse(rng, n, k), random_sparse(rng, k, m)
+        if trial % 10 == 0:
+            a = IntMatrix.zeros(n, k)
+        elif trial % 10 == 1:
+            b = IntMatrix.zeros(k, m)
+        assert_matmul_matches_dense(a, b)
+
+
+@pytest.mark.parametrize("n, k, m", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
+def test_matmul_empty_shapes(n, k, m):
+    rng = random.Random(47)
+    assert assert_matmul_matches_dense(random_sparse(rng, n, k), random_sparse(rng, k, m)).is_zero()
+
+
+# Fields are W bits wide, W the smallest of 8, 16, 32, ... with
+# max|A| * max|B| * inner < 2**(W-1).  Here that bound is 5 * 2**(width-6):
+# past the limit 2**(width/2 - 1) of the next narrower width and below
+# 2**(width-1), so each case runs at `width`; 128 reads its fields by
+# slicing bytes.
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_matmul_each_field_width(width):
+    rng = random.Random(width)
+    inner, top = 5, 1 << (width // 2 - 3)
+    for _ in range(10):
+        entries_a = {(r, c): rng.randint(-top, top) for r in range(4) for c in range(inner) if rng.random() < 0.7}
+        entries_b = {(r, c): rng.randint(-top, top) for r in range(inner) for c in range(6) if rng.random() < 0.7}
+        entries_a[(0, 0)], entries_b[(0, 0)] = top, -top
+        assert_matmul_matches_dense(IntMatrix(4, inner, entries_a), IntMatrix(inner, 6, entries_b))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_matmul_entries_on_the_width_edge(width):
+    edge = (1 << (width - 1)) - 1
+    # one inner index: the bound is |edge| itself, so the narrowest width holds
+    # entries of exactly +-(2**(W-1) - 1) in neighbouring fields
+    a = IntMatrix(2, 1, {(0, 0): edge, (1, 0): -edge})
+    b = IntMatrix(1, 5, {(0, 0): 1, (0, 1): -1, (0, 3): 1, (0, 4): -1})
+    product = assert_matmul_matches_dense(a, b)
+    assert [v for _, _, v in product.iter_entries()] == [edge, -edge, edge, -edge, -edge, edge, -edge, edge]
+    # a bound of exactly 2**(W-1) must move to the next width
+    over = IntMatrix(1, 1, {(0, 0): edge + 1})
+    assert_matmul_matches_dense(over, b)
+    assert_matmul_matches_dense(over, IntMatrix(1, 1, {(0, 0): -1}))
+    # a sum over several inner indices reaching the edge: 7 * 31 * 151 = 2**15 - 1
+    if width == 16:
+        sums = assert_matmul_matches_dense(
+            IntMatrix(2, 7, {(r, c): (31 if r == 0 else -31) for r in range(2) for c in range(7)}),
+            IntMatrix(7, 3, {(r, c): 151 for r in range(7) for c in (0, 2)}),
+        )
+        assert sums == IntMatrix(2, 3, {(0, 0): edge, (0, 2): edge, (1, 0): -edge, (1, 2): -edge})
 
 
 def test_kron_mixed_product_property():
@@ -242,6 +310,34 @@ def test_space_basis_matrices_span_inserted():
     assert rebuilt.dim == space.dim
     for m in mats:
         assert rebuilt.contains_vector(m)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+@pytest.mark.parametrize(
+    "basis, vector, stuck_pivot",
+    [
+        # the leading coordinate 0 is a pivot that never clears
+        (({0: 1, 3: 1}, {1: 1, 4: 1}), {0: 1}, 0),
+        # coordinate 0 is no pivot; the tail pivot 1 never clears
+        (({1: 1, 3: 1}, {2: 1, 4: 1}), {0: 1, 1: 1}, 1),
+    ],
+    ids=["leading", "tail"],
+)
+def test_reduction_stops_after_dim_plus_one_pivots(monkeypatch, prime, basis, vector, stuck_pivot):
+    space = MatrixSpace(prime=prime)
+    for vec in basis:
+        space.insert_vector(vec)
+    calls = []
+
+    def stuck(v, row, c):
+        # an elimination that clears nothing; the cap keeps a missing bound from hanging the test
+        calls.append(c)
+        assert len(calls) < 100
+
+    monkeypatch.setattr(space, "_eliminate", stuck)
+    with pytest.raises(EliminationDivergenceError, match="after 3 pivot eliminations"):
+        space.insert_vector(vector)
+    assert calls == [stuck_pivot] * 3
 
 
 # -- Matrix Market ------------------------------------------------------------

@@ -191,12 +191,13 @@ def test_expected_factors_cover_all_nonzero_blocks():
     ],
     ids=["added", "removed", "removed-row", "zero-block"],
 )
-def test_flipped_entry_reported_with_witness(graph_factory, changes, witness):
+def test_flipped_entry_reported_with_witness(graph_factory, monkeypatch, changes, witness):
     g = graph_factory(2)
     entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
     assert all(entries.get(k, 0) != v for k, v in changes.items())
     entries.update(changes)  # the constructor drops the zeros
-    result = verify_adjacency_blocks(g, adjacency=IntMatrix(10, 10, entries))
+    monkeypatch.setattr(g, "adjacency", lambda: IntMatrix(10, 10, entries))
+    result = verify_adjacency_blocks(g)
     assert result.status == "fail"
     # the fault is one-sided, so the opposite block is no longer its transpose
     assert result.witnesses == [witness, {"kind": "symmetry_violated", "block": witness["block"]}]
