@@ -61,6 +61,8 @@ class RunConfig:
     allow_large: bool = False
 
     def __post_init__(self):
+        if not self.checks:
+            raise ParameterError("no checks selected")
         unknown = [c for c in self.checks if c not in CHECK_NAMES + ("all",)]
         if unknown:
             raise ParameterError(f"unknown checks: {', '.join(unknown)}")

@@ -10,9 +10,16 @@ packs each row of the right factor into a single Python integer, one
 fixed-width bit field per column, wide enough for every entry of the
 product, so a result row costs one big-integer add per nonzero of the left
 row; the row is read back through `int.to_bytes` and a signed `array`.
-Both reduction loops of `MatrixSpace` stop with `EliminationDivergenceError`
-after dim + 1 pivot eliminations of one vector, which correct arithmetic
-never needs, so a broken field kernel fails instead of looping forever.
+
+`MatrixSpace` reduces each vector in one pass: it takes the pivots the
+vector meets and eliminates each of them once, in ascending order, because
+the stored basis is fully reduced.  The input is copied once on the way
+in (with `dict` when its values are already in range) and never modified.
+Over the rationals a vector's content is stripped once, when it becomes a
+basis row, and once for each row that is back-substituted, not after every
+elimination.  The reduction stops with `EliminationDivergenceError` after
+dim + 1 pivot eliminations of one vector, which correct arithmetic never
+needs, so a broken field kernel fails instead of looping forever.
 
 IntMatrix values are immutable after construction and safe to share between
 threads.  MatrixSpace is single-writer: readers are fine once insertion
@@ -207,7 +214,15 @@ def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for 64-bit inputs."""
+    """Deterministic Miller-Rabin with the twelve prime bases 2..37.
+
+    Those bases decide every n below 318665857834031151167461, which is
+    itself a strong pseudoprime to all of them.  The test is only used on
+    64-bit inputs, so n >= 2**64 raises ParameterError instead of risking
+    a composite accepted as a field modulus.
+    """
+    if n >= 1 << 64:
+        raise ParameterError(f"{n} is too large: primality is only decided below 2^64")
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -268,14 +283,13 @@ class MatrixSpace:
     def insert_vector(self, vec: dict[int, int]) -> bool:
         """Reduce `vec` against the basis; grow the basis if independent.
 
-        Returns True when the dimension grew.
+        Returns True when the dimension grew.  `vec` itself is not modified.
         """
         v = self._normalize_input(vec)
-        self._reduce_leading(v)
+        self._reduce(v)
         if not v:
             return False
         piv = min(v)
-        self._reduce_tail(v, piv)
         self._normalize_row(v, piv)
         # Keep the basis fully reduced: clear the new pivot coordinate from
         # every existing row.  `v` carries no other pivot coordinates, so
@@ -283,21 +297,31 @@ class MatrixSpace:
         for row in self._rows.values():
             if piv in row:
                 self._eliminate(row, v, piv)
+                if self.prime is None:
+                    self._strip_content(row)
         self._rows[piv] = v
         return True
 
     def contains_vector(self, vec: dict[int, int]) -> bool:
-        """True iff `vec` lies in the current span."""
+        """True iff `vec` lies in the current span.  `vec` itself is not modified."""
         v = self._normalize_input(vec)
-        self._reduce_leading(v)
+        self._reduce(v)
         return not v
 
     # -- internals ----------------------------------------------------------
 
     def _normalize_input(self, vec: dict[int, int]) -> dict[int, int]:
+        # A copy of `vec` with every value in range: nonzero, and in 1..p-1
+        # over GF(p).  Inputs already in range, as every embedded matrix
+        # with small positive entries is, are copied without a loop.
         p = self.prime
+        values = vec.values()
         if p is None:
+            if 0 not in values:
+                return dict(vec)
             return {c: v for c, v in vec.items() if v}
+        if not vec or (min(values) > 0 and max(values) < p):
+            return dict(vec)
         out = {}
         for c, v in vec.items():
             v %= p
@@ -305,55 +329,45 @@ class MatrixSpace:
                 out[c] = v
         return out
 
-    def _reduce_leading(self, v: dict[int, int]):
-        # Eliminate the leading coordinate while it is a pivot.  Elimination
-        # only introduces coordinates beyond the fired pivot, so the leading
-        # coordinate strictly increases and at most dim pivots fire.
+    def _reduce(self, v: dict[int, int]):
+        """Clear every pivot coordinate of `v`, in place.
+
+        One pass over the pivots `v` meets is enough.  Every stored row is
+        zero at all other pivots and has no coordinate below its own pivot,
+        so eliminating pivot c changes `v` at c and at non-pivot coordinates
+        only: each pivot present at the start fires once, and none appears.
+        The loop still re-reads the pivots `v` meets after each pass, and
+        stops after dim + 1 firings with `EliminationDivergenceError`, so a
+        broken field kernel fails instead of looping forever.
+        """
         rows = self._rows
         dim, fired = len(rows), 0
-        while v:
-            c = min(v)
-            row = rows.get(c)
-            if row is None:
-                return
-            if fired > dim:
-                raise self._divergence(fired)
-            self._eliminate(v, row, c)
-            fired += 1
-
-    def _reduce_tail(self, v: dict[int, int], piv: int):
-        # Clear every pivot coordinate other than `piv` so stored rows stay
-        # in reduced echelon form.  Basis rows contain no foreign pivots, so
-        # each hit is processed at most once in ascending order.
-        rows = self._rows
-        dim, fired = len(rows), 0
-        while True:
-            hit = min((c for c in v if c != piv and c in rows), default=None)
-            if hit is None:
-                return
-            if fired > dim:
-                raise self._divergence(fired)
-            self._eliminate(v, rows[hit], hit)
-            fired += 1
-
-    def _divergence(self, fired: int) -> EliminationDivergenceError:
-        # Both reduction loops fire at most dim pivots when the arithmetic is
-        # right; they stop after dim + 1 rather than loop forever.
-        return EliminationDivergenceError(
-            f"reducing one vector did not finish after {fired} pivot eliminations "
-            f"against a basis of dimension {len(self._rows)} over {self.field_name}"
-        )
+        hits = v.keys() & rows.keys()
+        while hits:
+            for c in sorted(hits):
+                if fired > dim:
+                    raise EliminationDivergenceError(
+                        f"reducing one vector did not finish after {fired} pivot eliminations "
+                        f"against a basis of dimension {dim} over {self.field_name}"
+                    )
+                self._eliminate(v, rows[c], c)
+                fired += 1
+            hits = v.keys() & rows.keys()
 
     def _eliminate(self, v: dict[int, int], row: dict[int, int], c: int):
+        # Subtract the multiple of `row` that clears coordinate c of `v`.
+        # Over the rationals `v` is first scaled by row[c] / gcd, and its
+        # content is left for the caller to strip.
         p = self.prime
+        get, pop = v.get, v.pop
         if p is not None:
             f = v[c]  # stored rows have pivot value 1
             for cc, rv in row.items():
-                nv = (v.get(cc, 0) - f * rv) % p
+                nv = (get(cc, 0) - f * rv) % p
                 if nv:
                     v[cc] = nv
                 else:
-                    v.pop(cc, None)
+                    pop(cc, None)
         else:
             a, b = row[c], v[c]
             g = gcd(a, b)
@@ -362,12 +376,11 @@ class MatrixSpace:
                 for cc in v:
                     v[cc] *= fa
             for cc, rv in row.items():
-                nv = v.get(cc, 0) - fb * rv
+                nv = get(cc, 0) - fb * rv
                 if nv:
                     v[cc] = nv
                 else:
-                    v.pop(cc, None)
-            self._strip_content(v)
+                    pop(cc, None)
 
     @staticmethod
     def _strip_content(v: dict[int, int]):

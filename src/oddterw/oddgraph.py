@@ -175,22 +175,32 @@ class OddGraph:
                 rows[r - r0] = row
         return IntMatrix._wrap(nr, nc, rows)
 
-    def embed_vector(self, matrix: IntMatrix, block: BlockRef) -> dict[int, int]:
-        """Row-major ambient coordinates of a class-shaped matrix placed at `block`.
+    def embed_vector(self, left: IntMatrix, right: IntMatrix, block: BlockRef) -> dict[int, int]:
+        """Row-major ambient coordinates of kron(left, right) placed at `block`.
 
-        The n x n ambient matrix, zero outside the block, is never built.
+        Entry (ra, ca) of `left` times entry (rb, cb) of `right` is entry
+        (ra * right.nrows + rb, ca * right.ncols + cb) of the block, as in
+        `kron`, and block entry (r, c) is ambient entry (offset_p + r,
+        offset_q + c) at coordinate row * n + column.  Neither the Kronecker
+        product nor the n x n ambient matrix is built.  A matrix that is not
+        a Kronecker product embeds as kron(matrix, IntMatrix.identity(1)).
         """
         bi, bj = block
         nr, nc = self.class_size(bi), self.class_size(bj)
-        if matrix.shape != (nr, nc):
-            raise ShapeError(f"block {block} has shape {(nr, nc)}, got {matrix.shape}")
+        shape = (left.nrows * right.nrows, left.ncols * right.ncols)
+        if shape != (nr, nc):
+            raise ShapeError(f"block {block} has shape {(nr, nc)}, got {shape}")
         n = self.num_vertices
         base = self.class_offset(bi) * n + self.class_offset(bj)
+        row_step, col_step = right.nrows * n, right.ncols
+        right_rows = [(rb * n, brow) for rb, brow in right._rows.items()]
         return {
-            start + c: v
-            for r, row in matrix._rows.items()
-            for start in (base + r * n,)
-            for c, v in row.items()
+            start + cb: va * vb
+            for ra, arow in left._rows.items()
+            for ca, va in arow.items()
+            for rb_start, brow in right_rows
+            for start in (base + ra * row_step + ca * col_step + rb_start,)
+            for cb, vb in brow.items()
         }
 
     def block_of_coordinate(self, coord: int) -> BlockRef:

@@ -15,18 +15,23 @@ that the dimension matches the closed-form count C(m+4, 4).
 The closure keeps every element it multiplies in the factored form the
 paper's basis has: one distance-class block and a pair of small factors
 (left, right) standing for kron(left, right).  Products are taken factor
-by factor, and an element is expanded only when it is offered to the span.
-Before it uses any factor pair the closure runs the same entry-exact
-adjacency check as the `blocks` verifier (`verify_adjacency_blocks`), so
-it takes no Kronecker claim on trust and refuses a graph with a stray
-entry anywhere, zero blocks included.  Its diagonal seeds come from
-`projector_factors`, the one rule `projector_factor_mismatches` checks.
-The closure runs sequentially: every candidate product is reduced against
-the basis as soon as it is formed.
+by factor, and an element is expanded only when it is offered to the span:
+`OddGraph.embed_vector` writes the ambient coordinates of kron(left, right)
+straight from the two factors, and `MatrixSpace.insert_vector` reduces that
+vector in one pass.  Before it uses any factor pair the closure runs the
+same entry-exact adjacency check as the `blocks` verifier
+(`verify_adjacency_blocks`), so it takes no Kronecker claim on trust and
+refuses a graph with a stray entry anywhere, zero blocks included.  Its
+diagonal seeds come from `projector_factors`, the one rule
+`projector_factor_mismatches` checks.  The embedded seeds are then compared
+with the graph's own matrices, so the embedding's index rule is checked
+too.  The closure runs sequentially: every candidate product is reduced
+against the basis as soon as it is formed.
 
 Each fact has one implementation here: `generator_span` builds the
-family's span for both the containment and the basis verifier, and the
-membership cases carry `BlockGenerator`s, expanded by `local_matrix()`.
+family's span for both the containment and the basis verifier, and every
+verifier embeds a `BlockGenerator` from its two factors, as the closure
+embeds its elements.
 """
 
 from __future__ import annotations
@@ -64,9 +69,6 @@ class BlockGenerator:
     block: BlockRef
     left: HSpec
     right: HSpec
-
-    def local_matrix(self) -> IntMatrix:
-        return kron(self.left.build(), self.right.build())
 
     def label(self) -> str:
         return f"block{self.block} {self.left.label()} x {self.right.label()}"
@@ -213,7 +215,15 @@ def closure(
     on the graph, the `blocks` check itself: otherwise the closure raises
     GraphStructureError naming the first failing block.  Products are taken
     on the small factors, kron(AL, AR) @ kron(L, R) = kron(AL @ L, AR @ R),
-    and an element is materialized only to be offered to the span.
+    and an element is materialized only to be offered to the span, by one
+    `graph.embed_vector(left, right, block)` call and one `insert_vector`.
+
+    The embedding has its own index rule, so the seeds check it: the
+    embedded projector seeds must equal `graph.dual_idempotent(d)` and the
+    embedded adjacency seeds together `graph.adjacency()`, both read
+    entry by entry at coordinate r * n + c.  A mismatch raises
+    GraphStructureError.  This reuses the seed vectors and adds no
+    `embed_vector` call.
 
     `shuffle`, when given, randomizes processing order inside each round;
     the resulting dimension must not depend on it.
@@ -234,17 +244,26 @@ def closure(
     frontier: list[tuple[BlockRef, IntMatrix, IntMatrix]] = []
     products = 0
 
-    def offer(block: BlockRef, left: IntMatrix, right: IntMatrix):
+    def offer(block: BlockRef, left: IntMatrix, right: IntMatrix) -> dict[int, int]:
         if left.is_zero() or right.is_zero():
-            return
-        if space.insert_vector(graph.embed_vector(kron(left, right), block)):
+            return {}
+        vec = graph.embed_vector(left, right, block)
+        if space.insert_vector(vec):
             frontier.append((block, left, right))
+        return vec
 
+    # the seeds, each compared with the graph's own matrix read at r * n + c
     for d in range(m + 1):
         left, right = projector_factors(m, d)
-        offer((d, d), left.build(), right.build())
+        if offer((d, d), left.build(), right.build()) != graph.dual_idempotent(d).vectorize():
+            raise GraphStructureError(
+                f"the embedded seed of E_{d}* differs from the graph's projector"
+            )
+    adjacency: dict[int, int] = {}
     for block, (left, right) in factors.items():
-        offer(block, left, right)
+        adjacency.update(offer(block, left, right))
+    if adjacency != graph.adjacency().vectorize():
+        raise GraphStructureError("the embedded adjacency seeds differ from the graph's adjacency")
 
     rounds = 0
     while frontier:
@@ -286,7 +305,7 @@ def generator_span(
     dependent = [
         idx
         for idx, gen in enumerate(gens)
-        if not space.insert_vector(graph.embed_vector(gen.local_matrix(), gen.block))
+        if not space.insert_vector(graph.embed_vector(gen.left.build(), gen.right.build(), gen.block))
     ]
     return space, dependent
 
@@ -349,7 +368,7 @@ def verify_generators_in_closure(
     """Every embedded generator lies in the closure span."""
     witnesses = []
     for gen in gens:
-        vec = graph.embed_vector(gen.local_matrix(), gen.block)
+        vec = graph.embed_vector(gen.left.build(), gen.right.build(), gen.block)
         if not clo.space.contains_vector(vec):
             witnesses.append({"kind": "generator_outside_closure", "generator": gen.label()})
     return CheckResult.from_witnesses(
@@ -445,7 +464,8 @@ def verify_membership_families(graph: OddGraph, clo: ClosureResult) -> CheckResu
     cases = membership_family_cases(graph.m)
     for case in cases:
         gen = case["generator"]
-        if not clo.space.contains_vector(graph.embed_vector(gen.local_matrix(), gen.block)):
+        vec = graph.embed_vector(gen.left.build(), gen.right.build(), gen.block)
+        if not clo.space.contains_vector(vec):
             witnesses.append(
                 {
                     "kind": "missing_member",

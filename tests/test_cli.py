@@ -152,6 +152,23 @@ def test_verify_rejects_bad_parameters(tmp_path, capsys):
     RunConfig(m=2, checks=("products",), sweep_max=9, allow_large=True)
 
 
+@pytest.mark.parametrize("checks", [",", ""], ids=["comma", "empty"])
+def test_verify_rejects_an_empty_check_selection(tmp_path, capsys, checks):
+    out = tmp_path / "x"
+    assert main(["verify", "--m", "2", "--checks", checks, "--out", str(out)]) == 2
+    assert "error: no checks selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_rejects_a_prime_above_64_bits(tmp_path, capsys):
+    # a strong pseudoprime to every Miller-Rabin base the primality test uses
+    out = tmp_path / "x"
+    argv = ["verify", "--m", "3", "--checks", "closure,basis", "--primes", "318665857834031151167461"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "below 2^64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
     import oddterw.cli as cli_module
 

@@ -11,6 +11,7 @@ from oddterw import (
     MatrixSpace,
     ParameterError,
     ShapeError,
+    is_prime,
     kron,
     write_matrix_market,
 )
@@ -266,6 +267,71 @@ def test_space_dimension_monotone_and_bounded():
 def test_space_rejects_composite_modulus():
     with pytest.raises(ParameterError):
         MatrixSpace(prime=1_000_001)  # 101 * 9901
+
+
+def test_is_prime_refuses_inputs_from_2_64():
+    # 318665857834031151167461 is composite and a strong pseudoprime to all
+    # twelve bases 2..37, so no answer for it could be trusted
+    assert is_prime(2**64 - 59)  # the largest 64-bit prime
+    for n in (2**64, 318665857834031151167461):
+        with pytest.raises(ParameterError, match="below 2\\^64"):
+            is_prime(n)
+        with pytest.raises(ParameterError):
+            MatrixSpace(prime=n)
+
+
+def test_space_reads_values_modulo_p():
+    p = DEFAULT_PRIMES[0]
+    space = MatrixSpace(prime=p)
+    # values >= p, negative values and zeros, all reduced mod p on the way in
+    assert space.insert_vector({1: p + 2, 4: -1, 6: 0, 8: p})
+    assert list(space.iter_basis()) == [(1, {1: 1, 4: (p - 1) * pow(2, -1, p) % p})]
+    for same in ({1: 2, 4: -1}, {1: 2 - p, 4: 2 * p - 1, 9: 0}, {1: -2, 4: 1}):
+        assert space.contains_vector(same)
+        assert not space.insert_vector(same)
+    for zero in ({}, {3: p}, {3: 0, 5: -p}):
+        assert space.contains_vector(zero)
+        assert not space.insert_vector(zero)
+    assert not space.contains_vector({1: 2})
+    assert not space.contains_vector({4: p - 1})
+    assert space.dim == 1
+
+
+def test_space_drops_zeros_over_the_rationals():
+    space = MatrixSpace(prime=None)
+    assert space.insert_vector({1: 4, 4: -2, 6: 0})
+    assert list(space.iter_basis()) == [(1, {1: 2, 4: -1})]
+    for same in ({1: -2, 4: 1}, {1: 6, 4: -3, 9: 0}):
+        assert space.contains_vector(same)
+        assert not space.insert_vector(same)
+    for zero in ({}, {3: 0}):
+        assert space.contains_vector(zero)
+        assert not space.insert_vector(zero)
+    assert not space.contains_vector({1: 1, 4: 1})
+    assert space.dim == 1
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_space_never_mutates_its_input(prime):
+    rng = random.Random(43)
+    space, other = MatrixSpace(prime=prime), MatrixSpace(prime=prime)
+    big = DEFAULT_PRIMES[0] + 1
+    vectors = [random_matrix(rng, 3, 3).vectorize() for _ in range(5)]
+    vectors += [{0: big, 1: -2, 2: 0}, {3: 0}, {}]
+    for vec in vectors:
+        before = dict(vec)
+        space.insert_vector(vec)
+        assert vec == before
+        assert space.contains_vector(vec)
+        assert vec == before
+    for vec in (random_matrix(rng, 3, 3).vectorize() for _ in range(3)):
+        other.insert_vector(vec)
+    # a basis row of another space, as the containment check passes them
+    snapshot = [(piv, dict(row)) for piv, row in other.iter_basis()]
+    for _, row in other.iter_basis():
+        space.contains_vector(row)
+        space.insert_vector(row)
+    assert [(piv, dict(row)) for piv, row in other.iter_basis()] == snapshot
 
 
 def test_space_dim_agrees_across_fields():

@@ -11,7 +11,14 @@ Faults covered here:
   closed-form expansion that starts at g = 1;
 - row reduction: a sign flip in GF(p) elimination.  The leading coordinate
   then never clears, so before the reduction loops were bounded the
-  closure looped forever; it runs in a child process under a timeout.
+  closure looped forever; it runs in a child process under a timeout;
+- the closure and its inputs, each run as `verify --m 3 --checks all`: the
+  closure cut to one round, `kron` with its two index roles swapped,
+  intersection matrices with l mirrored in its range, a generator family
+  missing its largest s in every block, and `embed_vector` with the roles
+  of its two factors swapped.  The last one relocates the closure and the
+  generator family alike, inside each distance class, so only the
+  closure's comparison of its seeds with `graph.adjacency()` sees it.
 """
 
 import json
@@ -24,13 +31,17 @@ from pathlib import Path
 import pytest
 
 import oddterw
-from oddterw import intersection
+from oddterw import cli, intersection, oddgraph, terwilliger
 from oddterw.cli import main
-from oddterw.exactmat import IntMatrix
+from oddterw.combinatorics import intersection_range
+from oddterw.exactmat import IntMatrix, kron
+from oddterw.oddgraph import OddGraph
 
 ORIGINAL_MATMUL = IntMatrix.__matmul__
 ORIGINAL_MASKS = intersection._subset_masks
 ORIGINAL_EXPANSION = intersection.product_expansion
+ORIGINAL_MATRIX = intersection.intersection_matrix
+ORIGINAL_EMBED = OddGraph.embed_vector
 
 
 def matmul_dropping_one_entry(a, b):
@@ -129,3 +140,79 @@ def test_gf_p_sign_flip_fails_closure_without_hanging(tmp_path):
     assert failed["witnesses"][0]["kind"] == "internal"
     assert "pivot eliminations" in failed["witnesses"][0]["detail"]
     assert [c["status"] for c in report["checks"][1:]] == ["skipped"]
+
+
+class FirstRoundOnly:
+    """A `shuffle` for `closure` that empties every round after the first."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def shuffle(self, current):
+        self.rounds += 1
+        if self.rounds > 1:
+            current.clear()
+
+
+def closure_cut_to_one_round(graph, prime):
+    return terwilliger.closure(graph, prime=prime, shuffle=FirstRoundOnly())
+
+
+def kron_indices_swapped(a, b):
+    # a's entry index becomes the fast one: out[rb * a.nrows + ra, cb * a.ncols + ca]
+    return kron(b, a)
+
+
+def l_mirrored(i, j, l, v):
+    lrange = intersection_range(i, j, v)
+    if l in lrange:
+        l = lrange.start + lrange.stop - 1 - l
+    return ORIGINAL_MATRIX(i, j, l, v)
+
+
+def family_missing_largest_s(m):
+    return [
+        gen for gen in terwilliger.block_generators(m)
+        if gen.right.l != max(intersection_range(gen.right.i, gen.right.j, gen.right.v))
+    ]
+
+
+def embed_factors_swapped(graph, left, right, block):
+    return ORIGINAL_EMBED(graph, right, left, block)
+
+
+def verify_m3_all(tmp_path, capsys):
+    """Exit code and report of `verify --m 3 --checks all`."""
+    code = main(["verify", "--m", "3", "--checks", "all", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads((tmp_path / "report.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "patches, failing, detail",
+    [
+        ([(cli, "closure", closure_cut_to_one_round)],
+         {"closure", "containment-span-in-closure[exact]", "basis[exact]"}, None),
+        ([(oddgraph, "kron", kron_indices_swapped), (terwilliger, "kron", kron_indices_swapped)],
+         {"closure-computation", "blocks"}, "fails the blocks check"),
+        ([(intersection, "intersection_matrix", l_mirrored), (oddgraph, "intersection_matrix", l_mirrored)],
+         {"closure-computation", "blocks", "products"}, "fails the blocks check"),
+        ([(cli, "block_generators", family_missing_largest_s)],
+         {"containment-closure-in-span[exact]", "basis[exact]"}, None),
+        ([(OddGraph, "embed_vector", embed_factors_swapped)],
+         {"closure-computation"}, "embedded adjacency seeds differ"),
+    ],
+    ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
+         "embed-factors-swapped"],
+)
+def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, detail):
+    for target, name, fault in patches:
+        monkeypatch.setattr(target, name, fault)
+    code, report = verify_m3_all(tmp_path, capsys)
+    assert code == 1
+    failed = {c["name"]: c["witnesses"] for c in report["checks"] if c["status"] == "fail"}
+    assert failing <= failed.keys()
+    if detail is not None:
+        (witness,) = failed["closure-computation"]
+        assert witness["kind"] == "internal" and detail in witness["detail"]

@@ -94,7 +94,8 @@ def test_dual_idempotents(graph_factory):
 def embedded(g, local, block):
     """The n x n matrix whose row-major coordinates `embed_vector` gives."""
     n = g.num_vertices
-    return IntMatrix(n, n, {divmod(k, n): v for k, v in g.embed_vector(local, block).items()})
+    vec = g.embed_vector(local, IntMatrix.identity(1), block)
+    return IntMatrix(n, n, {divmod(k, n): v for k, v in vec.items()})
 
 
 def test_extract_embed_inverse(graph_factory):
@@ -106,30 +107,57 @@ def test_extract_embed_inverse(graph_factory):
         other = (block[0], (block[1] + 1) % (g.m + 1))
         assert g.extract_block(embedded(g, local, block), other).is_zero() or other == block
     zero_local = IntMatrix.zeros(g.class_size(1), g.class_size(2))
-    assert g.embed_vector(zero_local, (1, 2)) == {}
+    assert g.embed_vector(zero_local, IntMatrix.identity(1), (1, 2)) == {}
     assert g.extract_block(IntMatrix.identity(10), (2, 2)) == IntMatrix.identity(6)
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def random_factor(rng, nrows, ncols, zero):
+    # about a third of the rows empty, values of both signs
+    if zero:
+        return {}
+    return {
+        (r, c): rng.choice((-3, -1, 1, 2, 7))
+        for r in range(nrows)
+        if rng.random() < 0.65
+        for c in range(ncols)
+        if rng.random() < 0.5
+    }
 
 
 def test_embed_vector_matches_embed(graph_factory):
     g = graph_factory(3)
+    n = g.num_vertices
     rng = random.Random(5)
     for p in range(g.m + 1):
         for q in range(g.m + 1):
             nr, nc = g.class_size(p), g.class_size(q)
-            # about a third of the rows empty, values of both signs
-            entries = {
-                (r, c): rng.choice((-3, -1, 1, 2, 7))
-                for r in range(nr)
-                if rng.random() < 0.65
-                for c in range(nc)
-                if rng.random() < 0.4
-            }
-            local = IntMatrix(nr, nc, entries)
-            # the embedding written out entry by entry: local (r, c) sits at
-            # ambient (offset_p + r, offset_q + c)
-            r0, c0, n = g.class_offset(p), g.class_offset(q), g.num_vertices
-            expected = {(r0 + r) * n + c0 + c: v for (r, c), v in entries.items()}
-            assert g.embed_vector(local, (p, q)) == expected
+            r0, c0 = g.class_offset(p), g.class_offset(q)
+            # every split of the block shape into factor shapes, rectangular
+            # factors included, and one zero factor for each split
+            for lr in divisors(nr):
+                for lc in divisors(nc):
+                    rr, rc = nr // lr, nc // lc
+                    for zero in (None, "left", "right"):
+                        a = random_factor(rng, lr, lc, zero == "left")
+                        b = random_factor(rng, rr, rc, zero == "right")
+                        # kron(left, right) written out entry by entry: block
+                        # entry (ra * rr + rb, ca * rc + cb) sits at ambient
+                        # (r0 + row, c0 + column), coordinate row * n + column
+                        expected = {
+                            (r0 + ra * rr + rb) * n + c0 + ca * rc + cb: va * vb
+                            for (ra, ca), va in a.items()
+                            for (rb, cb), vb in b.items()
+                        }
+                        left, right = IntMatrix(lr, lc, a), IntMatrix(rr, rc, b)
+                        got = g.embed_vector(left, right, (p, q))
+                        assert got == expected
+                        # the same entries as `kron` gives, moved into the block
+                        local = {(k // n - r0) * nc + k % n - c0: v for k, v in got.items()}
+                        assert local == kron(left, right).vectorize()
 
 
 def test_shape_errors(graph_factory):
@@ -137,7 +165,9 @@ def test_shape_errors(graph_factory):
     with pytest.raises(ShapeError):
         g.extract_block(IntMatrix.zeros(9, 9), (0, 0))
     with pytest.raises(ShapeError):
-        g.embed_vector(IntMatrix.zeros(3, 3), (1, 2))
+        g.embed_vector(IntMatrix.zeros(3, 3), IntMatrix.identity(1), (1, 2))
+    with pytest.raises(ShapeError):
+        g.embed_vector(IntMatrix.identity(3), IntMatrix.zeros(2, 1), (1, 2))
 
 
 def test_non_admissible_blocks_vanish(graph_factory):

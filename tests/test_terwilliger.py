@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from oddterw import (
     HSpec,
     IntMatrix,
     MatrixSpace,
+    OddGraph,
     ParameterError,
     binomial,
     block_generators,
@@ -61,7 +63,9 @@ def block_matrix_closure(graph, prime, shuffle=None):
     products = 0
 
     def offer(block, local):
-        if not local.is_zero() and space.insert_vector(graph.embed_vector(local, block)):
+        if not local.is_zero() and space.insert_vector(
+            graph.embed_vector(local, IntMatrix.identity(1), block)
+        ):
             frontier.append((block, local))
 
     for d in range(m + 1):
@@ -97,7 +101,9 @@ def product_chain_membership(graph, clo, chain):
         product = product @ graph.extract_block(a, (p, q))
     if product.is_zero():
         return True
-    return clo.space.contains_vector(graph.embed_vector(product, (chain[0], chain[-1])))
+    return clo.space.contains_vector(
+        graph.embed_vector(product, IntMatrix.identity(1), (chain[0], chain[-1]))
+    )
 
 
 # -- generator family ----------------------------------------------------------
@@ -132,7 +138,7 @@ def test_top_row_even_blocks_have_single_generator(m):
 def test_generator_shapes_match_blocks(graph_factory):
     g = graph_factory(3)
     for gen in block_generators(3):
-        local = gen.local_matrix()
+        local = kron(gen.left.build(), gen.right.build())
         assert local.shape == (g.class_size(gen.block[0]), g.class_size(gen.block[1]))
 
 
@@ -183,6 +189,26 @@ def test_closure_matches_block_matrix_reference(graph_factory, m, prime):
     assert list(clo.space.iter_basis()) == list(space.iter_basis())
     assert (clo.rounds, clo.products_computed) == (rounds, products)
     assert clo.dimension == binomial(m + 4, 4)
+
+
+def test_closure_call_counts_pinned_by_the_benchmark(graph_factory, monkeypatch):
+    # perfbench/run.py pins these counts for every m = 5 closure, so a change
+    # that moves them fails here before it reaches the benchmark
+    g = graph_factory(5)
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(MatrixSpace, "insert_vector", counted("insert_vector", MatrixSpace.insert_vector))
+    monkeypatch.setattr(OddGraph, "embed_vector", counted("embed_vector", OddGraph.embed_vector))
+    clo = closure(g, prime=1_000_000_007)
+    assert (clo.rounds, clo.products_computed, clo.dimension) == (5, 492, 126)
+    assert calls == {"insert_vector": 509, "embed_vector": 509}
 
 
 def test_tampered_adjacency_fails_closure_seeding():
@@ -326,7 +352,7 @@ def test_inserting_generator_matrices_all_new(graph_factory):
     g = graph_factory(2)
     space = MatrixSpace()
     for gen in block_generators(2):
-        assert space.insert_vector(g.embed_vector(gen.local_matrix(), gen.block))
+        assert space.insert_vector(g.embed_vector(gen.left.build(), gen.right.build(), gen.block))
     assert space.dim == 15
 
 
@@ -360,8 +386,8 @@ def test_membership_families_pass_small(graph_factory, closure_factory, m):
 def test_specific_membership_m3(graph_factory, closure_factory):
     g = graph_factory(3)
     clo = closure_factory(3)
-    local = kron(intersection_matrix(0, 1, 0, 3), intersection_matrix(3, 2, 2, 4))
-    assert clo.space.contains_vector(g.embed_vector(local, (1, 3)))
+    left, right = intersection_matrix(0, 1, 0, 3), intersection_matrix(3, 2, 2, 4)
+    assert clo.space.contains_vector(g.embed_vector(left, right, (1, 3)))
 
 
 # -- closure is an algebra: chains and block products ----------------------------
@@ -419,7 +445,8 @@ def test_block_products_of_basis_elements_stay_in_closure(graph_factory, closure
             product = m1 @ m2
             if product.is_zero():
                 continue
-            assert clo.space.contains_vector(g.embed_vector(product, (b1[0], b2[1])))
+            vec = g.embed_vector(product, IntMatrix.identity(1), (b1[0], b2[1]))
+            assert clo.space.contains_vector(vec)
 
 
 # -- dimension formula ------------------------------------------------------------
