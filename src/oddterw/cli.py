@@ -66,8 +66,9 @@ class RunConfig:
         unknown = [c for c in self.checks if c not in CHECK_NAMES + ("all",)]
         if unknown:
             raise ParameterError(f"unknown checks: {', '.join(unknown)}")
-        if "all" in self.checks:
-            self.checks = CHECK_NAMES
+        # each selected check once, in CHECK_NAMES order, whatever the request's order
+        selected = CHECK_NAMES if "all" in self.checks else self.checks
+        self.checks = tuple(name for name in CHECK_NAMES if name in selected)
         if self.m < 1:
             raise ParameterError("m must be at least 1")
         if not 1 <= len(self.primes) <= 2 or len(set(self.primes)) != len(self.primes):
@@ -115,7 +116,8 @@ class RunConfig:
 def _check_products(config: RunConfig) -> CheckResult:
     vs = sorted(set(range(config.sweep_max + 1)) | {config.m, config.m + 1})
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # the pool starts every worker up front, and one ground size is one task
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(vs))) as pool:
             chunks = pool.map(product_formula_failures, vs)
             witnesses = [w for chunk in chunks for w in chunk]
     else:
@@ -158,9 +160,11 @@ def _check_closure_dimensions(config: RunConfig, closures: dict) -> CheckResult:
 def run_verify(config: RunConfig) -> VerificationReport:
     """Run the selected checks and return the aggregated report.
 
+    The closures are computed when the first check that needs them comes
+    up, and their time goes into the first entry added at that point.
     Internal errors from the kernel (divergence, for instance) become a
-    failing check with an "internal" witness instead of propagating, and
-    the checks that needed the lost result are reported as skipped.
+    failing `closure-computation` entry instead of propagating, and the
+    checks that needed the lost result are reported as skipped.
     """
 
     def timed(name: str, check, *args) -> CheckResult:
@@ -172,30 +176,30 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
     graph = OddGraph(config.m) if config.needs_graph else None
     gens = block_generators(config.m) if config.needs_closure else None
-    closures = {}
+    # entries each check adds per field; the verifiers are looked up on every
+    # call, not at import, so a rebound module attribute takes effect
+    per_field = {
+        "containment": [
+            ("containment-closure-in-span", verify_closure_in_generator_span, gens),
+            ("containment-span-in-closure", verify_generators_in_closure, gens),
+        ],
+        "memberships": [("memberships", verify_membership_families)],
+        "basis": [("basis", verify_generator_basis, gens)],
+    }
+    closures = None  # field -> closure once computed; empty when that failed
     checks: list[CheckResult] = []
-    # the closures are computed once, up front, and timed as a whole
-    closure_ms = 0
-    if config.needs_closure:
-        t0 = time.perf_counter()
-        try:
-            for prime in config.fields:
-                closures[prime] = closure(graph, prime=prime)
-        except OddTerwError as exc:
-            checks.append(
-                CheckResult(
-                    name="closure-computation",
-                    status=FAIL,
-                    witnesses=[{"kind": "internal", "detail": str(exc)}],
-                )
-            )
-            closures = None
-        closure_ms = int((time.perf_counter() - t0) * 1000)
-
-    first_entry = {}  # check name -> index of its first entry in the report
     for name in config.checks:
-        first_entry.setdefault(name, len(checks))
+        first, closure_ms = len(checks), 0
         if name in CLOSURE_CHECKS and closures is None:
+            t0 = time.perf_counter()
+            try:
+                closures = {prime: closure(graph, prime=prime) for prime in config.fields}
+            except OddTerwError as exc:
+                closures = {}
+                witnesses = [{"kind": "internal", "detail": str(exc)}]
+                checks.append(CheckResult(name="closure-computation", status=FAIL, witnesses=witnesses))
+            closure_ms = int((time.perf_counter() - t0) * 1000)
+        if name in CLOSURE_CHECKS and not closures:
             checks.append(
                 CheckResult(name=name, status=SKIPPED, params={"reason": "closure computation failed"})
             )
@@ -207,29 +211,11 @@ def run_verify(config: RunConfig) -> VerificationReport:
             checks.append(timed("dimension", _check_dimension, config))
         elif name == "closure":
             checks.append(timed("closure", _check_closure_dimensions, config, closures))
-        elif name == "containment":
+        else:
             for prime, clo in closures.items():
-                field = field_name(prime)
-                checks.append(timed(f"containment-closure-in-span[{field}]",
-                                    verify_closure_in_generator_span, graph, clo, gens))
-                checks.append(timed(f"containment-span-in-closure[{field}]",
-                                    verify_generators_in_closure, graph, clo, gens))
-        elif name == "memberships":
-            for prime, clo in closures.items():
-                checks.append(timed(f"memberships[{field_name(prime)}]",
-                                    verify_membership_families, graph, clo))
-        elif name == "basis":
-            for prime, clo in closures.items():
-                checks.append(timed(f"basis[{field_name(prime)}]",
-                                    verify_generator_basis, graph, clo, gens))
-    if config.needs_closure:
-        # the closure time goes into the first entry that reports on the
-        # closures: closure-computation when they failed, else `closure` when
-        # selected, else the first containment, membership or basis entry
-        owner = "closure" if "closure" in first_entry else next(
-            name for name in config.checks if name in CLOSURE_CHECKS
-        )
-        checks[0 if closures is None else first_entry[owner]].ms += closure_ms
+                for label, verify, *args in per_field[name]:
+                    checks.append(timed(f"{label}[{field_name(prime)}]", verify, graph, clo, *args))
+        checks[first].ms += closure_ms
 
     field_desc = "+".join(field_name(p) for p in config.fields)
     return VerificationReport(m=config.m, field=field_desc, checks=checks)
@@ -239,11 +225,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
 
 def cmd_build(m: int, out_dir: Path) -> int:
-    try:
-        graph = OddGraph(m)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    graph = OddGraph(m)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_matrix_market(graph.adjacency(), out_dir / "adjacency.mtx")

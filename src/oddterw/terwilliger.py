@@ -331,16 +331,32 @@ def projector_factor_mismatches(graph: OddGraph) -> list[dict]:
     return witnesses
 
 
+def negative_control_witnesses(graph: OddGraph, space: MatrixSpace) -> list[dict]:
+    """The span must reject the single-entry matrix at ambient entry (0, n - 1).
+
+    That entry lies in block (0, m), where the only generator is the
+    all-ones row of length class_size(m) >= 2, so the matrix is not in T.
+    A span that accepts it accepts too much, and every containment it
+    vouched for is void.
+    """
+    coordinate = graph.num_vertices - 1  # row-major: row 0, column n - 1
+    if space.contains_vector({coordinate: 1}):
+        return [{"kind": "negative_control_accepted", "coordinate": coordinate}]
+    return []
+
+
 def verify_closure_in_generator_span(
     graph: OddGraph, clo: ClosureResult, gens: list[BlockGenerator]
 ) -> CheckResult:
     """Every closure basis element lies in the span of the generating family.
 
     Also checks the projector factorizations that put the closure seeds in
-    that span in the first place.
+    that span in the first place, and that the span rejects a negative
+    control.
     """
     witnesses = projector_factor_mismatches(graph)
     span, _ = generator_span(graph, gens, clo.space.prime)
+    witnesses += negative_control_witnesses(graph, span)
     for pivot, row in clo.space.iter_basis():
         if not span.contains_vector(row):
             witnesses.append(
@@ -358,6 +374,7 @@ def verify_closure_in_generator_span(
             "field": clo.space.field_name,
             "closure_dim": clo.dimension,
             "span_dim": span.dim,
+            "negative_controls": 1,
         },
     )
 
@@ -365,8 +382,8 @@ def verify_closure_in_generator_span(
 def verify_generators_in_closure(
     graph: OddGraph, clo: ClosureResult, gens: list[BlockGenerator]
 ) -> CheckResult:
-    """Every embedded generator lies in the closure span."""
-    witnesses = []
+    """Every embedded generator lies in the closure span; the negative control does not."""
+    witnesses = negative_control_witnesses(graph, clo.space)
     for gen in gens:
         vec = graph.embed_vector(gen.left.build(), gen.right.build(), gen.block)
         if not clo.space.contains_vector(vec):
@@ -374,7 +391,12 @@ def verify_generators_in_closure(
     return CheckResult.from_witnesses(
         "generators-in-closure",
         witnesses,
-        params={"m": graph.m, "field": clo.space.field_name, "generators": len(gens)},
+        params={
+            "m": graph.m,
+            "field": clo.space.field_name,
+            "generators": len(gens),
+            "negative_controls": 1,
+        },
     )
 
 
@@ -384,7 +406,9 @@ def verify_generator_basis(
     """The generating family is linearly independent and spans the closure.
 
     Builds the family's span with `generator_span`: every insert must grow
-    the dimension, and the final dimension must equal the closure's.
+    the dimension, and the final dimension must equal the closure's.  The
+    family checked must also equal the per-parity reading of the paper's
+    basis.
     """
     space, dependent = generator_span(graph, gens, clo.space.prime)
     witnesses = [
@@ -396,7 +420,7 @@ def verify_generator_basis(
             {"kind": "dimension_mismatch", "family_span_dim": space.dim, "closure_dim": clo.dimension}
         )
     notes = []
-    uniform = {(g.block, g.left, g.right) for g in block_generators(graph.m)}
+    uniform = {(g.block, g.left, g.right) for g in gens}
     by_parity = {(g.block, g.left, g.right) for g in block_generators_by_parity(graph.m)}
     if uniform == by_parity:
         notes.append(
@@ -459,8 +483,11 @@ def membership_family_cases(m: int) -> list[dict]:
 
 
 def verify_membership_families(graph: OddGraph, clo: ClosureResult) -> CheckResult:
-    """Each matrix of the two derived families lies in the closure span."""
-    witnesses = []
+    """Each matrix of the two derived families lies in the closure span.
+
+    The closure span must also reject the negative control.
+    """
+    witnesses = negative_control_witnesses(graph, clo.space)
     cases = membership_family_cases(graph.m)
     for case in cases:
         gen = case["generator"]
@@ -477,5 +504,10 @@ def verify_membership_families(graph: OddGraph, clo: ClosureResult) -> CheckResu
     return CheckResult.from_witnesses(
         "membership-families",
         witnesses,
-        params={"m": graph.m, "field": clo.space.field_name, "cases": len(cases)},
+        params={
+            "m": graph.m,
+            "field": clo.space.field_name,
+            "cases": len(cases),
+            "negative_controls": 1,
+        },
     )

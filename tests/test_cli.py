@@ -321,6 +321,95 @@ def test_closure_ms_goes_to_first_entry_using_the_closures(monkeypatch, checks, 
     assert entry.ms >= 50 * len(config.fields)
 
 
+def timeless(report) -> dict:
+    data = report.to_dict()
+    for check in data["checks"]:
+        check.pop("ms")
+    return data
+
+
+def test_report_depends_on_the_check_selection_not_its_order():
+    repeated = run_verify(RunConfig(m=2, checks=("basis", "closure", "basis")))
+    canonical = run_verify(RunConfig(m=2, checks=("closure", "basis")))
+    assert timeless(repeated) == timeless(canonical)
+    assert [c.name for c in canonical.checks] == [
+        "closure", "basis[gf(1000000007)]", "basis[gf(998244353)]", "basis[exact]",
+    ]
+
+
+def test_closure_failure_entry_comes_before_the_skipped_entries(monkeypatch):
+    import oddterw.cli as cli_module
+    from oddterw import ClosureDivergenceError
+
+    def diverging_closure(graph, prime=None, **kwargs):
+        raise ClosureDivergenceError("closure did not stabilize")
+
+    monkeypatch.setattr(cli_module, "closure", diverging_closure)
+    report = run_verify(RunConfig(m=2, checks=("dimension", "basis", "blocks", "closure")))
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("blocks", "pass"),
+        ("closure-computation", "fail"),
+        ("closure", "skipped"),
+        ("basis", "skipped"),
+        ("dimension", "pass"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "verifier",
+    [
+        "verify_closure_in_generator_span",
+        "verify_generators_in_closure",
+        "verify_membership_families",
+        "verify_generator_basis",
+    ],
+)
+def test_each_per_field_verifier_runs_once_per_field(monkeypatch, verifier):
+    # patched on the module: run_verify must look its verifiers up when it runs
+    import oddterw.cli as cli_module
+
+    calls = []
+    real = getattr(cli_module, verifier)
+
+    def counting(graph, clo, *args):
+        calls.append(clo.space.field_name)
+        return real(graph, clo, *args)
+
+    monkeypatch.setattr(cli_module, verifier, counting)
+    config = RunConfig(m=1, checks=("all",))
+    report = run_verify(config)
+    assert report.all_passed
+    assert calls == ["gf(1000000007)", "gf(998244353)", "exact"]
+
+
+@pytest.mark.parametrize("jobs,workers", [(2, 2), (100_000, 5)], ids=["below", "above"])
+def test_products_pool_has_at_most_one_worker_per_ground_size(tmp_path, monkeypatch, jobs, workers):
+    # the real pool starts every worker up front: never run a large --jobs for real
+    import oddterw.cli as cli_module
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
+    argv = ["verify", "--m", "2", "--checks", "products", "--sweep-max", "4", "--jobs", str(jobs)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks"][0]["params"]["ground_sizes"] == [0, 1, 2, 3, 4]
+    assert seen == [workers]
+
+
 def test_run_config_validation():
     with pytest.raises(Exception):
         RunConfig(m=0, checks=("closure",))

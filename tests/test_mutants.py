@@ -18,7 +18,10 @@ Faults covered here:
   missing its largest s in every block, and `embed_vector` with the roles
   of its two factors swapped.  The last one relocates the closure and the
   generator family alike, inside each distance class, so only the
-  closure's comparison of its seeds with `graph.adjacency()` sees it.
+  closure's comparison of its seeds with `graph.adjacency()` sees it;
+- span membership: `MatrixSpace.contains_vector` answering True for every
+  vector.  Every containment then holds vacuously, so only the negative
+  control, a matrix outside T that each span must reject, sees it.
 """
 
 import json
@@ -34,7 +37,7 @@ import oddterw
 from oddterw import cli, intersection, oddgraph, terwilliger
 from oddterw.cli import main
 from oddterw.combinatorics import intersection_range
-from oddterw.exactmat import IntMatrix, kron
+from oddterw.exactmat import IntMatrix, MatrixSpace, kron
 from oddterw.oddgraph import OddGraph
 
 ORIGINAL_MATMUL = IntMatrix.__matmul__
@@ -181,6 +184,10 @@ def embed_factors_swapped(graph, left, right, block):
     return ORIGINAL_EMBED(graph, right, left, block)
 
 
+def accepts_everything(space, vec):
+    return True
+
+
 def verify_m3_all(tmp_path, capsys):
     """Exit code and report of `verify --m 3 --checks all`."""
     code = main(["verify", "--m", "3", "--checks", "all", "--out", str(tmp_path)])
@@ -202,9 +209,12 @@ def verify_m3_all(tmp_path, capsys):
          {"containment-closure-in-span[exact]", "basis[exact]"}, None),
         ([(OddGraph, "embed_vector", embed_factors_swapped)],
          {"closure-computation"}, "embedded adjacency seeds differ"),
+        ([(MatrixSpace, "contains_vector", accepts_everything)],
+         {"containment-closure-in-span[exact]", "containment-span-in-closure[exact]",
+          "memberships[exact]"}, None),
     ],
     ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
-         "embed-factors-swapped"],
+         "embed-factors-swapped", "contains-always-true"],
 )
 def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, detail):
     for target, name, fault in patches:

@@ -282,6 +282,19 @@ def test_both_containments_pass(graph_factory, m, prime):
     assert forward.params["span_dim"] == clo.dimension
 
 
+def test_span_accepting_everything_fails_each_containment_check(monkeypatch, graph_factory, closure_factory):
+    g, clo, gens = graph_factory(2), closure_factory(2), block_generators(2)
+    monkeypatch.setattr(MatrixSpace, "contains_vector", lambda self, vec: True)
+    for result in (
+        verify_closure_in_generator_span(g, clo, gens),
+        verify_generators_in_closure(g, clo, gens),
+        verify_membership_families(g, clo),
+    ):
+        assert result.status == "fail"
+        assert result.witnesses == [{"kind": "negative_control_accepted", "coordinate": 9}]
+        assert result.params["negative_controls"] == 1
+
+
 def test_adjacency_in_generator_span(graph_factory):
     g = graph_factory(3)
     span, dependent = generator_span(g, block_generators(3), DEFAULT_PRIMES[0])
@@ -345,6 +358,14 @@ def test_duplicated_generator_breaks_independence(graph_factory, closure_factory
     result = verify_generator_basis(g, closure_factory(2), gens + [gens[0]])
     assert result.status == "fail"
     assert any(w["kind"] == "dependent_generator" for w in result.witnesses)
+
+
+def test_family_missing_a_generator_differs_from_the_per_parity_reading(graph_factory, closure_factory):
+    g = graph_factory(2)
+    result = verify_generator_basis(g, closure_factory(2), block_generators(2)[:-1])
+    assert result.status == "fail"
+    assert {"kind": "family_readings_differ", "only_uniform": 0, "only_parity": 1} in result.witnesses
+    assert result.notes == []
 
 
 def test_inserting_generator_matrices_all_new(graph_factory):
