@@ -13,13 +13,21 @@ row; the row is read back through `int.to_bytes` and a signed `array`.
 
 `MatrixSpace` reduces each vector in one pass: it takes the pivots the
 vector meets and eliminates each of them once, in ascending order, because
-the stored basis is fully reduced.  The input is copied once on the way
-in (with `dict` when its values are already in range) and never modified.
-Over the rationals a vector's content is stripped once, when it becomes a
-basis row, and once for each row that is back-substituted, not after every
-elimination.  The reduction stops with `EliminationDivergenceError` after
-dim + 1 pivot eliminations of one vector, which correct arithmetic never
-needs, so a broken field kernel fails instead of looping forever.
+the stored basis is fully reduced.  One elimination pops the pivot row's
+whole support out of the vector with one `map`, compares it with the
+multiple of the row as a list, and puts back only the nonzero
+differences.  The multiple of a row whose values are all equal, as in
+every basis row of T, is one product.  A dependent candidate built from
+T's disjoint 0/1 blocks cancels each row it meets exactly, so nothing
+goes back.  The input is copied once on the way in (with `dict` when its
+values are already in range) and never modified.  Over the rationals a
+vector's content is stripped once, when it becomes a basis row, and once
+for each row that is back-substituted, not after every elimination.  The
+reduction stops with `EliminationDivergenceError` after dim + 1 pivot
+eliminations of one vector, which correct arithmetic never needs, and
+`insert_vector` raises it too when a reduced vector still starts at a
+pivot, so a broken field kernel fails instead of looping forever or
+overwriting a basis row.
 
 IntMatrix values are immutable after construction and safe to share between
 threads.  MatrixSpace is single-writer: readers are fine once insertion
@@ -30,8 +38,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd
+from operator import sub
 from pathlib import Path
 
 from .errors import EliminationDivergenceError, ParameterError, ShapeError
@@ -245,6 +254,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _scaled(values: list[int], f: int, p: int | None) -> list[int]:
+    """f times each of `values`, reduced mod p unless p is None.
+
+    When all values are equal, as in every basis row of T, this is one product.
+    """
+    first = values[0]
+    if values.count(first) == len(values):
+        return [f * first if p is None else f * first % p] * len(values)
+    if p is None:
+        return [f * x for x in values]
+    return [f * x % p for x in values]
+
+
 def field_name(prime: int | None) -> str:
     """Report label of the field: "gf(<prime>)", or "exact" for the rationals (prime None)."""
     return "exact" if prime is None else f"gf({prime})"
@@ -290,6 +312,11 @@ class MatrixSpace:
         if not v:
             return False
         piv = min(v)
+        if piv in self._rows:
+            # a reduced vector meets no pivot; storing it would overwrite a basis row
+            raise EliminationDivergenceError(
+                f"reduction left pivot {piv} in a vector over {self.field_name}"
+            )
         self._normalize_row(v, piv)
         # Keep the basis fully reduced: clear the new pivot coordinate from
         # every existing row.  `v` carries no other pivot coordinates, so
@@ -357,30 +384,29 @@ class MatrixSpace:
     def _eliminate(self, v: dict[int, int], row: dict[int, int], c: int):
         # Subtract the multiple of `row` that clears coordinate c of `v`.
         # Over the rationals `v` is first scaled by row[c] / gcd, and its
-        # content is left for the caller to strip.
+        # content is left for the caller to strip.  The row's support is
+        # popped out of `v` in one pass and compared with the multiple
+        # whole; only nonzero differences are put back.
         p = self.prime
-        get, pop = v.get, v.pop
-        if p is not None:
-            f = v[c]  # stored rows have pivot value 1
-            for cc, rv in row.items():
-                nv = (get(cc, 0) - f * rv) % p
-                if nv:
-                    v[cc] = nv
-                else:
-                    pop(cc, None)
-        else:
+        if p is None:
             a, b = row[c], v[c]
             g = gcd(a, b)
             fa, fb = a // g, b // g
-            if fa != 1:
-                for cc in v:
-                    v[cc] *= fa
-            for cc, rv in row.items():
-                nv = get(cc, 0) - fb * rv
-                if nv:
-                    v[cc] = nv
-                else:
-                    pop(cc, None)
+        else:
+            fa, fb = 1, v[c]  # stored rows have pivot value 1
+        want = _scaled(list(row.values()), fb, p)
+        old = list(map(v.pop, row, repeat(0)))
+        if fa != 1:
+            for cc in v:
+                v[cc] *= fa
+            old = [fa * x for x in old]
+        if old == want:  # the row's support cancels exactly
+            return
+        if p is None:
+            new = list(map(sub, old, want))
+        else:
+            new = [(x - w) % p for x, w in zip(old, want)]
+        v.update(compress(zip(row, new), new))
 
     @staticmethod
     def _strip_content(v: dict[int, int]):

@@ -193,14 +193,14 @@ class OddGraph:
         n = self.num_vertices
         base = self.class_offset(bi) * n + self.class_offset(bj)
         row_step, col_step = right.nrows * n, right.ncols
-        right_rows = [(rb * n, brow) for rb, brow in right._rows.items()]
+        # each entry (rb, cb) of `right` as its offset rb * n + cb inside one left entry's tile
+        right_entries = [(rb * n + cb, vb) for rb, brow in right._rows.items() for cb, vb in brow.items()]
         return {
-            start + cb: va * vb
+            start + offset: va * vb
             for ra, arow in left._rows.items()
             for ca, va in arow.items()
-            for rb_start, brow in right_rows
-            for start in (base + ra * row_step + ca * col_step + rb_start,)
-            for cb, vb in brow.items()
+            for start in (base + ra * row_step + ca * col_step,)
+            for offset, vb in right_entries
         }
 
     def block_of_coordinate(self, coord: int) -> BlockRef:

@@ -1,5 +1,6 @@
 import io
 import random
+from math import gcd
 
 import pytest
 
@@ -404,6 +405,69 @@ def test_reduction_stops_after_dim_plus_one_pivots(monkeypatch, prime, basis, ve
     with pytest.raises(EliminationDivergenceError, match="after 3 pivot eliminations"):
         space.insert_vector(vector)
     assert calls == [stuck_pivot] * 3
+
+
+def test_insert_refuses_a_vector_left_at_a_pivot(monkeypatch):
+    # with the reduction skipped, the vector would overwrite the basis row at pivot 0
+    space = MatrixSpace()
+    space.insert_vector({0: 1, 3: 1})
+    monkeypatch.setattr(space, "_reduce", lambda v: None)
+    with pytest.raises(EliminationDivergenceError, match="reduction left pivot 0 in a vector over gf"):
+        space.insert_vector({0: 1, 4: 1})
+    assert [(piv, dict(row)) for piv, row in space.iter_basis()] == [(0, {0: 1, 3: 1})]
+
+
+def eliminate_entrywise(prime, v, row, c):
+    """Elimination one entry at a time: the reference `MatrixSpace._eliminate` must match."""
+    get, pop = v.get, v.pop
+    if prime is not None:
+        f = v[c]
+        for cc, rv in row.items():
+            nv = (get(cc, 0) - f * rv) % prime
+            if nv:
+                v[cc] = nv
+            else:
+                pop(cc, None)
+    else:
+        a, b = row[c], v[c]
+        g = gcd(a, b)
+        fa, fb = a // g, b // g
+        if fa != 1:
+            for cc in v:
+                v[cc] *= fa
+        for cc, rv in row.items():
+            nv = get(cc, 0) - fb * rv
+            if nv:
+                v[cc] = nv
+            else:
+                pop(cc, None)
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+@pytest.mark.parametrize(
+    "row, v",
+    [
+        ({0: 1, 2: 1, 5: 1}, {0: 3, 2: 3, 5: 3, 7: 1}),
+        ({0: 1, 2: 1, 5: 1}, {0: 2, 5: 2, 7: 4}),
+        ({0: 1, 3: 2, 6: -1}, {0: 5, 3: 1, 6: 9, 8: 2}),
+        ({0: 1, 4: 1, 9: 1}, {0: 1, 1: 7}),
+        ({0: 2, 3: 1, 5: -3}, {0: 3, 3: 5, 4: 1, 5: -1}),
+        ({0: 4, 3: 2, 5: 2}, {0: 6, 1: -1, 3: 3, 5: 3}),
+    ],
+    ids=["uniform-clears", "uniform-partly-covered", "non-uniform", "absent-coordinates",
+         "rational-scale", "rational-scale-clears"],
+)
+def test_eliminate_matches_the_entrywise_loop(prime, row, v):
+    # GF(p) basis rows have pivot value 1 and values in 1..p-1
+    if prime is not None:
+        inv = pow(row[0], -1, prime)
+        row = {c: x * inv % prime for c, x in row.items()}
+        v = {c: x % prime for c, x in v.items()}
+    got, expected = dict(v), dict(v)
+    MatrixSpace(prime=prime)._eliminate(got, row, 0)
+    eliminate_entrywise(prime, expected, row, 0)
+    assert 0 not in got
+    assert got == expected
 
 
 # -- Matrix Market ------------------------------------------------------------

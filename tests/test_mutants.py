@@ -9,19 +9,32 @@ Faults covered here:
 - the product-formula sweep (`products`): a matrix product that drops one
   entry, subset bit masks replaced by their complements' masks, and a
   closed-form expansion that starts at g = 1;
-- row reduction: a sign flip in GF(p) elimination.  The leading coordinate
-  then never clears, so before the reduction loops were bounded the
-  closure looped forever; it runs in a child process under a timeout;
+- row reduction, each run in a child process under a timeout: a sign flip
+  in GF(p) elimination, and `MatrixSpace._reduce` skipped.  With the sign
+  flip the leading coordinate never clears, so before the reduction loops
+  were bounded the closure looped forever.  With the reduction skipped,
+  every vector would be accepted and overwrite the basis row at its
+  leading coordinate, so the frontier would grow every round;
+  `insert_vector` refuses a reduced vector that starts at a pivot instead;
 - the closure and its inputs, each run as `verify --m 3 --checks all`: the
   closure cut to one round, `kron` with its two index roles swapped,
   intersection matrices with l mirrored in its range, a generator family
   missing its largest s in every block, and `embed_vector` with the roles
-  of its two factors swapped.  The last one relocates the closure and the
-  generator family alike, inside each distance class, so only the
-  closure's comparison of its seeds with `graph.adjacency()` sees it;
+  of its two factors swapped or with the two class offsets of its block
+  swapped.  Factor roles swapped relocate the closure and the generator
+  family alike, inside each distance class, so only the closure's
+  comparison of its seeds with `graph.adjacency()` sees it;
 - span membership: `MatrixSpace.contains_vector` answering True for every
   vector.  Every containment then holds vacuously, so only the negative
   control, a matrix outside T that each span must reject, sees it.
+
+One fault in the span kernel is not in this table because no `verify` run
+can see it: an `_eliminate` that pops the pivot row's support out of the
+vector and drops the differences instead of putting them back.  Every
+basis row of T is 0/1 and every elimination `verify` makes cancels the
+row's whole support, so `verify --m 3 --checks all` still exits 0 under
+it.  `test_eliminate_matches_the_entrywise_loop` in `test_exactmat.py`
+catches it.
 """
 
 import json
@@ -124,25 +137,55 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def test_gf_p_sign_flip_fails_closure_without_hanging(tmp_path):
+REDUCE_SKIPPED = """
+import sys
+from oddterw import cli
+from oddterw.exactmat import MatrixSpace
+
+MatrixSpace._reduce = lambda self, v: None  # no pivot is ever cleared
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def verify_in_child(script, checks, tmp_path):
+    """`verify --m 3 --checks <checks>` run by `script` in a child process under a timeout:
+    the exit status and report, once stderr holds no traceback."""
     # the child imports the same sources as this process, installed or not
     path = [str(Path(oddterw.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
-        [sys.executable, "-c", SIGN_FLIP, "verify", "--m", "3", "--checks", "closure", "--out", str(tmp_path)],
+        [sys.executable, "-c", script, "verify", "--m", "3", "--checks", checks, "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
-    assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    report = json.loads((tmp_path / "report.json").read_text())
+    return proc.returncode, json.loads((tmp_path / "report.json").read_text())
+
+
+def test_gf_p_sign_flip_fails_closure_without_hanging(tmp_path):
+    code, report = verify_in_child(SIGN_FLIP, "closure", tmp_path)
+    assert code == 1
     failed = report["checks"][0]
     assert failed["name"] == "closure-computation" and failed["status"] == "fail"
     assert failed["witnesses"][0]["kind"] == "internal"
     assert "pivot eliminations" in failed["witnesses"][0]["detail"]
     assert [c["status"] for c in report["checks"][1:]] == ["skipped"]
+
+
+def test_skipped_reduction_fails_closure_without_hanging(tmp_path):
+    # every vector would be accepted and overwrite the basis row at its leading
+    # coordinate, so the frontier would grow every round
+    code, report = verify_in_child(REDUCE_SKIPPED, "all", tmp_path)
+    assert code == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    failed = checks.pop("closure-computation")
+    assert failed["status"] == "fail"
+    assert {c["status"] for c in checks.values()} == {"pass", "skipped"}
+    (witness,) = failed["witnesses"]
+    assert witness["kind"] == "internal"
+    assert "reduction left pivot" in witness["detail"]
 
 
 class FirstRoundOnly:
@@ -184,6 +227,16 @@ def embed_factors_swapped(graph, left, right, block):
     return ORIGINAL_EMBED(graph, right, left, block)
 
 
+def embed_offsets_swapped(graph, left, right, block):
+    # block entry (r, c) lands at ambient (offset_q + r, offset_p + c), not (offset_p + r, offset_q + c)
+    n = graph.num_vertices
+    op, oq = graph.class_offset(block[0]), graph.class_offset(block[1])
+    return {
+        (coord // n - op + oq) * n + coord % n - oq + op: value
+        for coord, value in ORIGINAL_EMBED(graph, left, right, block).items()
+    }
+
+
 def accepts_everything(space, vec):
     return True
 
@@ -209,12 +262,14 @@ def verify_m3_all(tmp_path, capsys):
          {"containment-closure-in-span[exact]", "basis[exact]"}, None),
         ([(OddGraph, "embed_vector", embed_factors_swapped)],
          {"closure-computation"}, "embedded adjacency seeds differ"),
+        ([(OddGraph, "embed_vector", embed_offsets_swapped)],
+         {"closure-computation"}, "embedded adjacency seeds differ"),
         ([(MatrixSpace, "contains_vector", accepts_everything)],
          {"containment-closure-in-span[exact]", "containment-span-in-closure[exact]",
           "memberships[exact]"}, None),
     ],
     ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
-         "embed-factors-swapped", "contains-always-true"],
+         "embed-factors-swapped", "embed-offsets-swapped", "contains-always-true"],
 )
 def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, detail):
     for target, name, fault in patches:

@@ -191,6 +191,17 @@ def test_closure_matches_block_matrix_reference(graph_factory, m, prime):
     assert clo.dimension == binomial(m + 4, 4)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_closure_basis_rows_are_disjoint_zero_one_blocks(graph_factory, closure_factory, m, prime):
+    # the shape elimination is fastest on: a candidate cancels whole 0/1 rows
+    n = graph_factory(m).num_vertices
+    rows = [row for _, row in closure_factory(m, prime).space.iter_basis()]
+    assert all(set(row.values()) == {1} for row in rows)
+    covered = set().union(*rows)
+    assert len(covered) == sum(map(len, rows)) == n * n
+
+
 def test_closure_call_counts_pinned_by_the_benchmark(graph_factory, monkeypatch):
     # perfbench/run.py pins these counts for every m = 5 closure, so a change
     # that moves them fails here before it reaches the benchmark
