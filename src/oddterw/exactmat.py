@@ -10,6 +10,11 @@ packs each row of the right factor into a single Python integer, one
 fixed-width bit field per column, wide enough for every entry of the
 product, so a result row costs one big-integer add per nonzero of the left
 row; the row is read back through `int.to_bytes` and a signed `array`.
+One module-level slot holds the last right factor with its field width and
+packed rows, as a tuple replaced whole; a product whose right factor is
+that same object at that width reuses the rows, so a caller that runs its
+products with one right factor in a row (as the `products` sweep does)
+packs it once.  Each matrix computes its max |entry| once and keeps it.
 
 `MatrixSpace` reduces each vector in one pass: it takes the pivots the
 vector meets and eliminates each of them once, in ascending order, because
@@ -30,8 +35,10 @@ pivot, so a broken field kernel fails instead of looping forever or
 overwriting a basis row.
 
 IntMatrix values are immutable after construction and safe to share between
-threads.  MatrixSpace is single-writer: readers are fine once insertion
-stops, but concurrent insertions must be serialized by the caller.
+threads; the cached max |entry| and the packing slot are each written whole,
+so concurrent products at worst compute one of them twice.  MatrixSpace is
+single-writer: readers are fine once insertion stops, but concurrent
+insertions must be serialized by the caller.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ class IntMatrix:
     modified in place.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_rows", "_max")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
@@ -82,6 +89,7 @@ class IntMatrix:
                 if v:
                     rows.setdefault(r, {})[c] = v
         self._rows = rows
+        self._max = None
 
     @classmethod
     def _wrap(cls, nrows: int, ncols: int, rows: dict[int, dict[int, int]]) -> "IntMatrix":
@@ -91,6 +99,7 @@ class IntMatrix:
         m.nrows = nrows
         m.ncols = ncols
         m._rows = rows
+        m._max = None
         return m
 
     @classmethod
@@ -139,8 +148,8 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Exact product, one big-integer add per nonzero of `self`.
 
-        Each row of `other` is packed once into an integer with column c in
-        the W-bit field at bit W*c, where W is the smallest of 8, 16, 32, 64,
+        Each row of `other` is packed into an integer with column c in the
+        W-bit field at bit W*c, where W is the smallest of 8, 16, 32, 64,
         128, ... with max|self| * max|other| * inner dimension < 2**(W-1).
         A result row is the sum of a * packed[k] over the nonzeros a at
         (row, k): the integer with the row's entries as its base-2**W
@@ -149,24 +158,23 @@ class IntMatrix:
         with no carry across fields, and flipping each field's top bit then
         gives the entry in W-bit two's complement.  The fields are read back
         with a signed `array`, or past 64 bits with `int.from_bytes`.
+
+        The packed rows of the last right factor are kept in one slot, and
+        a product whose right factor is that same object, at the same W,
+        reuses them: a run of products sharing a right factor packs it once.
+        Each operand's max|entry| is computed once and kept on the matrix.
         """
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         ncols = other.ncols
-        orows = other._rows
-        if not self._rows or not orows:
+        if not self._rows or not other._rows:
             return IntMatrix._wrap(self.nrows, ncols, {})
-        bound = _max_abs(self._rows) * _max_abs(orows) * self.ncols
+        bound = self._max_abs() * other._max_abs() * self.ncols
         nbytes = 1
         while bound >= 1 << (8 * nbytes - 1):
             nbytes *= 2
         width = 8 * nbytes
-        packed = [0] * other.nrows  # a row of zeros packs to 0
-        for k, row in orows.items():
-            word = 0
-            for c, b in row.items():
-                word += b << (width * c)
-            packed[k] = word
+        packed = _packed_rows(other, width)
         biased = int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
         size = nbytes * ncols
         typecode = _SIGNED_BY_SIZE.get(nbytes)
@@ -191,6 +199,13 @@ class IntMatrix:
             rows[r] = dict(compress(enumerate(fields), fields))
         return IntMatrix._wrap(self.nrows, ncols, rows)
 
+    def _max_abs(self) -> int:
+        # max|entry|, computed on first use; 0 for the zero matrix
+        if self._max is None:
+            values = chain.from_iterable(map(dict.values, self._rows.values()))
+            self._max = max(map(abs, values), default=0)
+        return self._max
+
     def transpose(self) -> "IntMatrix":
         rows: dict[int, dict[int, int]] = {}
         for r, row in self._rows.items():
@@ -204,8 +219,30 @@ class IntMatrix:
         return {r * ncols + c: v for r, row in self._rows.items() for c, v in row.items()}
 
 
-def _max_abs(rows: dict[int, dict[int, int]]) -> int:
-    return max(map(abs, chain.from_iterable(map(dict.values, rows.values()))))
+# The right factor `IntMatrix.__matmul__` packed last: (matrix, W, packed rows).
+# The tuple is replaced whole and never changed, so a reader always sees
+# one factor's rows with the W they were packed at.
+_last_packed: tuple = (None, 0, [])
+
+
+def _packed_rows(matrix: IntMatrix, width: int) -> list[int]:
+    """Row k of `matrix` as one integer, entry (k, c) in the `width`-bit field at bit width*c.
+
+    Reuses the last packing when `matrix` is that same object at the same
+    width; an equal but distinct matrix is packed anew.
+    """
+    global _last_packed
+    held, held_width, packed = _last_packed
+    if held is matrix and held_width == width:
+        return packed
+    packed = [0] * matrix.nrows  # a row of zeros packs to 0
+    for k, row in matrix._rows.items():
+        word = 0
+        for c, b in row.items():
+            word += b << (width * c)
+        packed[k] = word
+    _last_packed = (matrix, width, packed)
+    return packed
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:

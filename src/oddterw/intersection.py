@@ -12,7 +12,9 @@ pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
 product back: the class of entry (r, c) is the popcount of the AND of the
 bit masks of subsets r and c, taken from `SubsetIndex.subsets()` and not
 from the intersection matrices, so a wrong `intersection_matrix` cannot
-vouch for itself.
+vouch for itself.  The loops take (j, k, s) outside and (i, l) inside:
+each right factor H(j, k, s, v) then serves a run of consecutive
+products, and the kernel packs it once for the whole run.
 
 All functions here are pure and safe for unsynchronized concurrent use.
 """
@@ -168,17 +170,20 @@ def product_formula_failures(v: int) -> list[dict]:
 
     For each (i, j, k) and each feasible (l, s), the direct product is
     decomposed by entry reading and compared with the closed-form expansion;
-    the s = 0 specialization is compared against the general formula as
-    well.  Returns machine-readable witnesses for any failures.
+    the s = 0 specialization is compared against the general formula once
+    per (i, j, k, l) as well.  The loops run over (j, k, s) outside and
+    (i, l) inside, so each right factor H(j, k, s, v) serves a run of
+    consecutive products and `IntMatrix.__matmul__` packs it once.
+    Returns machine-readable witnesses for any failures, in that order.
     """
     failures = []
-    for i in range(v + 1):
-        for j in range(v + 1):
-            for k in range(v + 1):
-                for l in intersection_range(i, j, v):
-                    left = intersection_matrix(i, j, l, v)
-                    for s in intersection_range(j, k, v):
-                        direct = left @ intersection_matrix(j, k, s, v)
+    for j in range(v + 1):
+        for k in range(v + 1):
+            for s in intersection_range(j, k, v):
+                right = intersection_matrix(j, k, s, v)
+                for i in range(v + 1):
+                    for l in intersection_range(i, j, v):
+                        direct = intersection_matrix(i, j, l, v) @ right
                         expansion = product_expansion(i, j, k, l, s, v)
                         try:
                             decomposition = decompose_product(direct, i, k, v)
@@ -200,6 +205,8 @@ def product_formula_failures(v: int) -> list[dict]:
                                     "decomposition": decomposition,
                                 }
                             )
+            for i in range(v + 1):
+                for l in intersection_range(i, j, v):
                     disjoint = disjoint_product_expansion(i, j, k, l, v)
                     general = product_expansion(i, j, k, l, 0, v)
                     if disjoint != general:

@@ -39,6 +39,8 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .combinatorics import binomial, intersection_range
 from .errors import ClosureDivergenceError, FormulaError, GraphStructureError, ParameterError
@@ -136,19 +138,21 @@ def _family(block, left_ij_v, right_ij_v) -> list[BlockGenerator]:
 DimensionIdentity = namedtuple("DimensionIdentity", "block_sum binomial")
 
 
+def _range_sizes(i: int, v: int) -> list[int]:
+    """|intersection_range(i, j, v)| for j = 0..v, that is min(i, j, v - i, v - j) + 1.
+
+    With c = min(i, v - i) the row rises 1..c, holds c + 1, and falls c..1.
+    """
+    c = min(i, v - i)
+    return [*range(1, c + 1), *repeat(c + 1, v + 1 - 2 * c), *range(c, 0, -1)]
+
+
 def _block_dimension_sum(m: int) -> int:
-    # sum over i, j of |range(m-i, m-j, m)| * |range(i, j, m+1)| with the
-    # min/max arithmetic spelled out; the m <= 200 identity sweep stays
-    # sub-second this way.
-    total = 0
-    for i in range(m + 1):
-        mi = m - i
-        for j in range(m + 1):
-            mj = m - j
-            left = (mi if mi < mj else mj) - (mi - j if mi > j else 0) + 1
-            right = (i if i < j else j) - (i + j - m - 1 if i + j > m + 1 else 0) + 1
-            total += left * right
-    return total
+    # sum over blocks (i, j) of |range(m-i, m-j, m)| * |range(i, j, m+1)|.
+    # Complementing both subsets leaves the left size unchanged, so row i of
+    # the left sizes is _range_sizes(i, m); `map` stops after its m + 1
+    # terms, dropping j = m + 1 from the right row.
+    return sum(sum(map(mul, _range_sizes(i, m), _range_sizes(i, m + 1))) for i in range(m + 1))
 
 
 def dimension_formula(m: int) -> DimensionIdentity:
@@ -332,14 +336,17 @@ def projector_factor_mismatches(graph: OddGraph) -> list[dict]:
 
 
 def negative_control_witnesses(graph: OddGraph, space: MatrixSpace) -> list[dict]:
-    """The span must reject the single-entry matrix at ambient entry (0, n - 1).
+    """The span must reject the single-entry matrix at ambient entry (0, class_offset(m)).
 
     That entry lies in block (0, m), where the only generator is the
     all-ones row of length class_size(m) >= 2, so the matrix is not in T.
     A span that accepts it accepts too much, and every containment it
-    vouched for is void.
+    vouched for is void.  The entry is the first of that row, so it is the
+    pivot of the all-ones row in the reduced basis of T: reducing the
+    control cancels one entry of that row and must put the rest back, and a
+    reduction that drops the differences accepts it.
     """
-    coordinate = graph.num_vertices - 1  # row-major: row 0, column n - 1
+    coordinate = graph.class_offset(graph.m)  # row-major: row 0, column class_offset(m)
     if space.contains_vector({coordinate: 1}):
         return [{"kind": "negative_control_accepted", "coordinate": coordinate}]
     return []

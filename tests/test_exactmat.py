@@ -16,6 +16,7 @@ from oddterw import (
     kron,
     write_matrix_market,
 )
+from oddterw import exactmat
 
 
 def random_entries(rng, nrows, ncols, density=0.5, lo=-5, hi=5):
@@ -188,6 +189,56 @@ def test_matmul_entries_on_the_width_edge(width):
             IntMatrix(7, 3, {(r, c): 151 for r in range(7) for c in (0, 2)}),
         )
         assert sums == IntMatrix(2, 3, {(0, 0): edge, (0, 2): edge, (1, 0): -edge, (1, 2): -edge})
+
+
+# The kernel keeps the packed rows of its last right factor in one slot and
+# reuses them only for that same object at the same field width.
+
+
+def left_with_max(rng, top, nrows=4, inner=5):
+    entries = {(r, c): rng.randint(-top, top) for r in range(nrows) for c in range(inner) if rng.random() < 0.7}
+    entries[(0, 0)] = top
+    return IntMatrix(nrows, inner, entries)
+
+
+def assert_packed_last(matrix, width):
+    held, held_width, _ = exactmat._last_packed
+    assert held is matrix and held_width == width
+
+
+def test_matmul_reuses_one_right_factor_across_field_widths(monkeypatch):
+    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
+    rng = random.Random(53)
+    b = left_with_max(rng, 3, nrows=5, inner=6)
+    # max|a| * 3 * 5 sets the width: 8 * 15 = 120 < 2**7, 2000 * 15 < 2**15,
+    # 10**12 * 15 >= 2**31; the 8-bit left comes back after each wider one
+    for top, width in [(8, 8), (2000, 16), (8, 8), (10**12, 64), (8, 8)]:
+        assert_matmul_matches_dense(left_with_max(rng, top), b)
+        assert_packed_last(b, width)
+
+
+def test_matmul_alternating_right_factors_of_one_shape(monkeypatch):
+    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
+    rng = random.Random(59)
+    a = left_with_max(rng, 4)
+    rights = [left_with_max(rng, 2, nrows=5, inner=6), left_with_max(rng, 2, nrows=5, inner=6)]
+    assert rights[0] != rights[1]
+    for step in range(6):
+        b = rights[step % 2]
+        assert_matmul_matches_dense(a, b)
+        assert_packed_last(b, 8)
+
+
+def test_matmul_repacks_an_equal_right_factor_that_is_another_object(monkeypatch):
+    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
+    rng = random.Random(61)
+    a, b = left_with_max(rng, 4), left_with_max(rng, 2, nrows=5, inner=6)
+    twin = IntMatrix(*b.shape, {(r, c): v for r, c, v in b.iter_entries()})
+    assert twin == b and twin is not b
+    assert_matmul_matches_dense(a, b)
+    assert_packed_last(b, 8)
+    assert_matmul_matches_dense(a, twin)
+    assert_packed_last(twin, 8)
 
 
 def test_kron_mixed_product_property():

@@ -13,6 +13,7 @@ from oddterw import (
     product_expansion_term,
     product_formula_failures,
 )
+from oddterw import exactmat
 
 
 def all_ones(nrows, ncols):
@@ -150,6 +151,33 @@ def test_decompose_product_reads_identity():
 @pytest.mark.parametrize("v", range(0, 6))
 def test_product_formula_sweep_small(v):
     assert product_formula_failures(v) == []
+
+
+def test_product_sweep_packs_each_right_factor_once(monkeypatch):
+    # the sweep's loop order gives each H(j, k, s, v) one run of products,
+    # so the kernel packs it once: one packing per distinct (j, k, s)
+    v = 6
+    original = exactmat._packed_rows
+    packed = []
+
+    def counting(matrix, width):
+        before = exactmat._last_packed
+        rows = original(matrix, width)
+        if exactmat._last_packed is not before:
+            packed.append(matrix)
+        return rows
+
+    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
+    monkeypatch.setattr(exactmat, "_packed_rows", counting)
+    assert product_formula_failures(v) == []
+    rights = [
+        intersection_matrix(j, k, s, v)
+        for j in range(v + 1)
+        for k in range(v + 1)
+        for s in intersection_range(j, k, v)
+    ]
+    assert len(packed) == len(rights)
+    assert all(got is want for got, want in zip(packed, rights))
 
 
 def test_direct_matrix_reconstruction_small():

@@ -7,7 +7,8 @@ expected kind of witness and prints no traceback.
 Faults covered here:
 
 - the product-formula sweep (`products`): a matrix product that drops one
-  entry, subset bit masks replaced by their complements' masks, and a
+  entry, packed rows reused for any right factor of the same shape,
+  subset bit masks replaced by their complements' masks, and a
   closed-form expansion that starts at g = 1;
 - row reduction, each run in a child process under a timeout: a sign flip
   in GF(p) elimination, and `MatrixSpace._reduce` skipped.  With the sign
@@ -25,16 +26,14 @@ Faults covered here:
   family alike, inside each distance class, so only the closure's
   comparison of its seeds with `graph.adjacency()` sees it;
 - span membership: `MatrixSpace.contains_vector` answering True for every
-  vector.  Every containment then holds vacuously, so only the negative
-  control, a matrix outside T that each span must reject, sees it.
-
-One fault in the span kernel is not in this table because no `verify` run
-can see it: an `_eliminate` that pops the pivot row's support out of the
-vector and drops the differences instead of putting them back.  Every
-basis row of T is 0/1 and every elimination `verify` makes cancels the
-row's whole support, so `verify --m 3 --checks all` still exits 0 under
-it.  `test_eliminate_matches_the_entrywise_loop` in `test_exactmat.py`
-catches it.
+  vector, and an `_eliminate` that pops the pivot row's support out of the
+  vector and drops the differences instead of putting them back.  Under
+  the first every containment holds vacuously.  Under the second every
+  elimination of an element of T still cancels the row's whole support,
+  since every basis row of T is 0/1 on disjoint blocks.  In both cases
+  only the negative control, a matrix outside T that each span must
+  reject, sees the fault; it sits at the pivot of a basis row whose other
+  entries must be put back.
 """
 
 import json
@@ -47,13 +46,14 @@ from pathlib import Path
 import pytest
 
 import oddterw
-from oddterw import cli, intersection, oddgraph, terwilliger
+from oddterw import cli, exactmat, intersection, oddgraph, terwilliger
 from oddterw.cli import main
 from oddterw.combinatorics import intersection_range
 from oddterw.exactmat import IntMatrix, MatrixSpace, kron
 from oddterw.oddgraph import OddGraph
 
 ORIGINAL_MATMUL = IntMatrix.__matmul__
+ORIGINAL_PACKED_ROWS = exactmat._packed_rows
 ORIGINAL_MASKS = intersection._subset_masks
 ORIGINAL_EXPANSION = intersection.product_expansion
 ORIGINAL_MATRIX = intersection.intersection_matrix
@@ -69,6 +69,14 @@ def matmul_dropping_one_entry(a, b):
         if not rows[first]:
             del rows[first]
     return IntMatrix._wrap(product.nrows, product.ncols, rows)
+
+
+def packed_rows_reused_by_shape(matrix, width):
+    # reuses the last packing for any right factor of the same shape and width
+    held, held_width, packed = exactmat._last_packed
+    if held is not None and held.shape == matrix.shape and held_width == width:
+        return packed
+    return ORIGINAL_PACKED_ROWS(matrix, width)
 
 
 def complement_masks(v, size):
@@ -94,14 +102,17 @@ def verify_products(tmp_path, capsys):
     [
         (IntMatrix, "__matmul__", matmul_dropping_one_entry,
          {"product_not_class_constant", "expansion_mismatch"}, "only partially covered"),
+        (exactmat, "_packed_rows", packed_rows_reused_by_shape,
+         {"product_not_class_constant", "expansion_mismatch"}, ""),
         (intersection, "_subset_masks", complement_masks,
          {"product_not_class_constant"}, ""),
         (intersection, "product_expansion", expansion_from_g_1,
          {"expansion_mismatch", "disjoint_specialization_mismatch"}, ""),
     ],
-    ids=["matmul-drops-an-entry", "complement-masks", "expansion-from-g-1"],
+    ids=["matmul-drops-an-entry", "packing-reused-by-shape", "complement-masks", "expansion-from-g-1"],
 )
 def test_sweep_fault_fails_products(tmp_path, capsys, monkeypatch, target, name, fault, kinds, detail):
+    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))  # no packing left by earlier tests
     monkeypatch.setattr(target, name, fault)
     code, seen, details = verify_products(tmp_path, capsys)
     assert code == 1
@@ -241,6 +252,12 @@ def accepts_everything(space, vec):
     return True
 
 
+def eliminate_dropping_differences(space, v, row, c):
+    # pops the pivot row's support out of `v` and puts none of the differences back
+    for cc in row:
+        v.pop(cc, None)
+
+
 def verify_m3_all(tmp_path, capsys):
     """Exit code and report of `verify --m 3 --checks all`."""
     code = main(["verify", "--m", "3", "--checks", "all", "--out", str(tmp_path)])
@@ -281,3 +298,18 @@ def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, fail
     if detail is not None:
         (witness,) = failed["closure-computation"]
         assert witness["kind"] == "internal" and detail in witness["detail"]
+
+
+def test_eliminate_dropping_differences_fails_the_negative_controls(tmp_path, capsys, monkeypatch):
+    # every elimination of T's own elements clears the pivot row's whole
+    # support, so only the negative control, which meets the all-ones row of
+    # block (0, m) at its pivot alone, reaches the put-back branch
+    monkeypatch.setattr(MatrixSpace, "_eliminate", eliminate_dropping_differences)
+    code, report = verify_m3_all(tmp_path, capsys)
+    assert code == 1
+    failed = {c["name"]: c["witnesses"] for c in report["checks"] if c["status"] == "fail"}
+    assert {name.split("[")[0] for name in failed} == {
+        "containment-closure-in-span", "containment-span-in-closure", "memberships"
+    }
+    control = {"kind": "negative_control_accepted", "coordinate": OddGraph(3).class_offset(3)}
+    assert all(witnesses == [control] for witnesses in failed.values())

@@ -26,7 +26,8 @@ from oddterw import (
     verify_generators_in_closure,
     verify_membership_families,
 )
-from oddterw.terwilliger import projector_factor_mismatches
+from oddterw.combinatorics import intersection_range
+from oddterw.terwilliger import _range_sizes, projector_factor_mismatches
 
 
 def basis_block_elements(graph, space):
@@ -302,7 +303,7 @@ def test_span_accepting_everything_fails_each_containment_check(monkeypatch, gra
         verify_membership_families(g, clo),
     ):
         assert result.status == "fail"
-        assert result.witnesses == [{"kind": "negative_control_accepted", "coordinate": 9}]
+        assert result.witnesses == [{"kind": "negative_control_accepted", "coordinate": 4}]
         assert result.params["negative_controls"] == 1
 
 
@@ -493,6 +494,20 @@ def test_dimension_formula_values(m, expected):
 def test_dimension_formula_sweep():
     for m in range(1, 201):
         dimension_formula(m)
+
+
+def test_block_dimension_rows_match_intersection_ranges():
+    # every term of the block sum for m <= 200: row i of the left sizes is
+    # |range(m-i, m-j, m)| and of the right sizes |range(i, j, m+1)|, j = 0..m
+    def sizes(v):
+        return [[len(intersection_range(a, b, v)) for b in range(v + 1)] for a in range(v + 1)]
+
+    upper = sizes(1)
+    for m in range(1, 201):
+        lower, upper = upper, sizes(m + 1)
+        for i in range(m + 1):
+            assert _range_sizes(i, m) == lower[m - i][::-1]
+            assert _range_sizes(i, m + 1)[: m + 1] == upper[i][: m + 1]
 
 
 def test_dimension_formula_rejects_bad_m():
