@@ -133,17 +133,6 @@ class OddGraph:
             raise GraphStructureError("graph is not connected")
         return dist
 
-    def admissible_blocks(self) -> list[BlockRef]:
-        """Blocks (i, j) where the adjacency matrix may be nonzero."""
-        return [(i, j) for i in range(self.m + 1) for j in self.adjacent_classes(i)]
-
-    def adjacent_classes(self, d: int) -> list[int]:
-        """Classes r with (r, d) an admissible adjacency block."""
-        out = [r for r in (d - 1, d + 1) if 0 <= r <= self.m]
-        if d == self.m:
-            out.append(self.m)
-        return sorted(out)
-
     # -- matrices --------------------------------------------------------------
 
     def adjacency(self) -> IntMatrix:
@@ -225,7 +214,8 @@ def expected_block_factors(m: int, block: BlockRef) -> tuple[IntMatrix, IntMatri
     Two vertices are adjacent when both their parts inside x and outside x
     are disjoint, so the block is kron(H(a, b, 0, m), H(u, w, 0, m+1)) for
     the part sizes (a, u) and (b, w) of the two classes; it vanishes when no
-    such disjoint pair fits.
+    such disjoint pair fits.  This is the one rule for which blocks of the
+    adjacency matrix are nonzero: (i, i ± 1) and (m, m).
     """
     (a, u), (b, w) = part_sizes(m, block[0]), part_sizes(m, block[1])
     if a + b > m or u + w > m + 1:

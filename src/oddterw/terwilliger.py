@@ -18,15 +18,14 @@ paper's basis has: one distance-class block and a pair of small factors
 by factor, and an element is expanded only when it is offered to the span:
 `OddGraph.embed_vector` writes the ambient coordinates of kron(left, right)
 straight from the two factors, and `MatrixSpace.insert_vector` reduces that
-vector in one pass.  Before it uses any factor pair the closure runs the
-same entry-exact adjacency check as the `blocks` verifier
-(`verify_adjacency_blocks`), so it takes no Kronecker claim on trust and
-refuses a graph with a stray entry anywhere, zero blocks included.  Its
-diagonal seeds come from `projector_factors`, the one rule
-`projector_factor_mismatches` checks.  The embedded seeds are then compared
-with the graph's own matrices, so the embedding's index rule is checked
-too.  The closure runs sequentially: every candidate product is reduced
-against the basis as soon as it is formed.
+vector in one pass.  The closure reads its adjacency factor pairs from one
+table, `expected_block_factors` over every block, and its diagonal seeds
+from `projector_factors`, the one rule `projector_factor_mismatches`
+checks.  It takes neither on trust: the embedded seeds are compared entry
+by entry with the graph's own projectors and its whole adjacency matrix,
+zero blocks included, so a wrong factor, a stray graph entry or a wrong
+embedding index refuses the graph.  The closure runs sequentially: every
+candidate product is reduced against the basis as soon as it is formed.
 
 Each fact has one implementation here: `generator_span` builds the
 family's span for both the containment and the basis verifier, and every
@@ -46,13 +45,7 @@ from .combinatorics import binomial, intersection_range
 from .errors import ClosureDivergenceError, FormulaError, GraphStructureError, ParameterError
 from .exactmat import DEFAULT_PRIME, IntMatrix, MatrixSpace, kron
 from .intersection import HSpec
-from .oddgraph import (
-    BlockRef,
-    OddGraph,
-    expected_block_factors,
-    part_sizes,
-    verify_adjacency_blocks,
-)
+from .oddgraph import BlockRef, OddGraph, expected_block_factors, part_sizes
 from .report import CheckResult
 
 #: Closure checks above this m are refused by default tooling; C(13, 6) =
@@ -214,20 +207,23 @@ def closure(
     matrix kron(left, right), with `left` on subsets of the base vertex and
     `right` on subsets of its complement.  The seeds are the projector
     factors from `projector_factors` on each diagonal block and the
-    adjacency factor pairs from `expected_block_factors` on each admissible
-    block.  Those pairs are used only once `verify_adjacency_blocks` passes
-    on the graph, the `blocks` check itself: otherwise the closure raises
-    GraphStructureError naming the first failing block.  Products are taken
-    on the small factors, kron(AL, AR) @ kron(L, R) = kron(AL @ L, AR @ R),
-    and an element is materialized only to be offered to the span, by one
+    adjacency factor pairs of one table: `expected_block_factors` over all
+    blocks in row-major order, keeping those that are not None.  The
+    table's keys are also the adjacency pattern: an element on block (p, q)
+    is multiplied on the left by the pairs at (r, p) and on the right by
+    those at (q, s).  Products are taken on the small factors,
+    kron(AL, AR) @ kron(L, R) = kron(AL @ L, AR @ R), and an element is
+    materialized only to be offered to the span, by one
     `graph.embed_vector(left, right, block)` call and one `insert_vector`.
 
-    The embedding has its own index rule, so the seeds check it: the
-    embedded projector seeds must equal `graph.dual_idempotent(d)` and the
-    embedded adjacency seeds together `graph.adjacency()`, both read
-    entry by entry at coordinate r * n + c.  A mismatch raises
-    GraphStructureError.  This reuses the seed vectors and adds no
-    `embed_vector` call.
+    The seeds are the closure's only graph guard: the embedded projector
+    seeds must equal `graph.dual_idempotent(d)` and the embedded adjacency
+    seeds together the whole of `graph.adjacency()`, zero blocks included,
+    both read entry by entry at coordinate r * n + c.  So the factor table,
+    the graph and the embedding's index rule are checked at once.  A
+    mismatch raises GraphStructureError naming the block and the entry
+    (r, c) of the first difference in row-major order.  This reuses the
+    seed vectors and adds no `embed_vector` call.
 
     `shuffle`, when given, randomizes processing order inside each round;
     the resulting dimension must not depend on it.
@@ -236,14 +232,11 @@ def closure(
     if max_rounds is None:
         max_rounds = 4 * (m + 1) ** 2
     space = MatrixSpace(prime=prime)
-    blocks = verify_adjacency_blocks(graph)
-    if not blocks.passed:
-        witness = blocks.witnesses[0]
-        p, q = witness["block"]
-        raise GraphStructureError(
-            f"adjacency block ({p}, {q}) fails the blocks check: {witness['kind']}"
-        )
-    factors = {block: expected_block_factors(m, block) for block in graph.admissible_blocks()}
+    table = {(p, q): expected_block_factors(m, (p, q)) for p in range(m + 1) for q in range(m + 1)}
+    factors = {block: pair for block, pair in table.items() if pair is not None}
+    # classes r with (r, d) a nonzero block, and s with (d, s) one, ascending
+    left_of = {d: [r for r, q in factors if q == d] for d in range(m + 1)}
+    right_of = {d: [s for p, s in factors if p == d] for d in range(m + 1)}
 
     frontier: list[tuple[BlockRef, IntMatrix, IntMatrix]] = []
     products = 0
@@ -266,8 +259,14 @@ def closure(
     adjacency: dict[int, int] = {}
     for block, (left, right) in factors.items():
         adjacency.update(offer(block, left, right))
-    if adjacency != graph.adjacency().vectorize():
-        raise GraphStructureError("the embedded adjacency seeds differ from the graph's adjacency")
+    expected = graph.adjacency().vectorize()
+    if adjacency != expected:
+        coord = min(k for k in adjacency.keys() | expected.keys() if adjacency.get(k) != expected.get(k))
+        (p, q), (r, c) = graph.block_of_coordinate(coord), divmod(coord, graph.num_vertices)
+        raise GraphStructureError(
+            f"adjacency block ({p}, {q}): the embedded adjacency seeds differ from"
+            f" the graph's adjacency at entry ({r}, {c})"
+        )
 
     rounds = 0
     while frontier:
@@ -280,11 +279,11 @@ def closure(
         if shuffle is not None:
             shuffle.shuffle(current)
         for (p, q), left, right in current:
-            for r in graph.adjacent_classes(p):
+            for r in left_of[p]:
                 products += 1
                 a_left, a_right = factors[(r, p)]
                 offer((r, q), a_left @ left, a_right @ right)
-            for s in graph.adjacent_classes(q):
+            for s in right_of[q]:
                 products += 1
                 a_left, a_right = factors[(q, s)]
                 offer((p, s), left @ a_left, right @ a_right)
@@ -427,18 +426,16 @@ def verify_generator_basis(
             {"kind": "dimension_mismatch", "family_span_dim": space.dim, "closure_dim": clo.dimension}
         )
     notes = []
-    uniform = {(g.block, g.left, g.right) for g in gens}
+    checked = {(g.block, g.left, g.right) for g in gens}
     by_parity = {(g.block, g.left, g.right) for g in block_generators_by_parity(graph.m)}
-    if uniform == by_parity:
-        notes.append(
-            "uniform-pattern family and per-parity family coincide, so both readings span"
-        )
+    if checked == by_parity:
+        notes.append("checked family and per-parity family coincide, so both readings span")
     else:
         witnesses.append(
             {
                 "kind": "family_readings_differ",
-                "only_uniform": len(uniform - by_parity),
-                "only_parity": len(by_parity - uniform),
+                "only_checked": len(checked - by_parity),
+                "only_parity": len(by_parity - checked),
             }
         )
     return CheckResult.from_witnesses(

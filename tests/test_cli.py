@@ -95,6 +95,27 @@ def test_verify_all_checks_m3(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+@pytest.mark.parametrize("checks, calls", [("all", 1), ("closure,containment", 0)])
+def test_verify_runs_the_adjacency_block_check_only_for_blocks(tmp_path, capsys, monkeypatch, checks, calls):
+    # the closure guards its seeds by comparing them with the graph and runs no
+    # block check of its own, so one is run per `blocks` entry, none per field
+    original = oddterw.verify_adjacency_blocks
+    counted = []
+
+    def counting(graph):
+        counted.append(graph)
+        return original(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "oddterw":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    assert main(["verify", "--m", "3", "--checks", checks, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(counted) == calls
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     args = ["verify", "--m", "2", "--checks", "closure,blocks", "--out", None]
     reports = []

@@ -20,9 +20,11 @@ Faults covered here:
 - the closure and its inputs, each run as `verify --m 3 --checks all`: the
   closure cut to one round, `kron` with its two index roles swapped,
   intersection matrices with l mirrored in its range, a generator family
-  missing its largest s in every block, and `embed_vector` with the roles
-  of its two factors swapped or with the two class offsets of its block
-  swapped.  Factor roles swapped relocate the closure and the generator
+  missing its largest s in every block, `embed_vector` with the roles of
+  its two factors swapped or with the two class offsets of its block
+  swapped, and an adjacency factor table with a zero left factor at block
+  (1, 2).  The closure calls no `kron`, so only `blocks` sees the swapped
+  `kron`.  Factor roles swapped relocate the closure and the generator
   family alike, inside each distance class, so only the closure's
   comparison of its seeds with `graph.adjacency()` sees it;
 - span membership: `MatrixSpace.contains_vector` answering True for every
@@ -58,6 +60,7 @@ ORIGINAL_MASKS = intersection._subset_masks
 ORIGINAL_EXPANSION = intersection.product_expansion
 ORIGINAL_MATRIX = intersection.intersection_matrix
 ORIGINAL_EMBED = OddGraph.embed_vector
+ORIGINAL_FACTORS = oddgraph.expected_block_factors
 
 
 def matmul_dropping_one_entry(a, b):
@@ -248,6 +251,14 @@ def embed_offsets_swapped(graph, left, right, block):
     }
 
 
+def factors_with_zero_left_at_1_2(m, block):
+    factors = ORIGINAL_FACTORS(m, block)
+    if block == (1, 2):
+        left, right = factors
+        return IntMatrix.zeros(*left.shape), right
+    return factors
+
+
 def accepts_everything(space, vec):
     return True
 
@@ -272,9 +283,9 @@ def verify_m3_all(tmp_path, capsys):
         ([(cli, "closure", closure_cut_to_one_round)],
          {"closure", "containment-span-in-closure[exact]", "basis[exact]"}, None),
         ([(oddgraph, "kron", kron_indices_swapped), (terwilliger, "kron", kron_indices_swapped)],
-         {"closure-computation", "blocks"}, "fails the blocks check"),
+         {"blocks"}, None),
         ([(intersection, "intersection_matrix", l_mirrored), (oddgraph, "intersection_matrix", l_mirrored)],
-         {"closure-computation", "blocks", "products"}, "fails the blocks check"),
+         {"closure-computation", "blocks", "products"}, "differs from the graph's projector"),
         ([(cli, "block_generators", family_missing_largest_s)],
          {"containment-closure-in-span[exact]", "basis[exact]"}, None),
         ([(OddGraph, "embed_vector", embed_factors_swapped)],
@@ -284,9 +295,13 @@ def verify_m3_all(tmp_path, capsys):
         ([(MatrixSpace, "contains_vector", accepts_everything)],
          {"containment-closure-in-span[exact]", "containment-span-in-closure[exact]",
           "memberships[exact]"}, None),
+        ([(oddgraph, "expected_block_factors", factors_with_zero_left_at_1_2),
+          (terwilliger, "expected_block_factors", factors_with_zero_left_at_1_2)],
+         {"blocks", "closure-computation"}, "adjacency block (1, 2)"),
     ],
     ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
-         "embed-factors-swapped", "embed-offsets-swapped", "contains-always-true"],
+         "embed-factors-swapped", "embed-offsets-swapped", "contains-always-true",
+         "factor-table-zero-left"],
 )
 def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, detail):
     for target, name, fault in patches:

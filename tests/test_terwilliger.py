@@ -56,9 +56,12 @@ def block_matrix_closure(graph, prime, shuffle=None):
     """
     m = graph.m
     space = MatrixSpace(prime=prime)
+    # the nonzero blocks of the graph's own adjacency matrix, in row-major order
+    every_block = [(p, q) for p in range(m + 1) for q in range(m + 1)]
     adjacency_blocks = {
-        block: graph.extract_block(graph.adjacency(), block)
-        for block in graph.admissible_blocks()
+        block: local
+        for block in every_block
+        if not (local := graph.extract_block(graph.adjacency(), block)).is_zero()
     }
     frontier = []
     products = 0
@@ -81,12 +84,14 @@ def block_matrix_closure(graph, prime, shuffle=None):
         if shuffle is not None:
             shuffle.shuffle(current)
         for (p, q), local in current:
-            for r in graph.adjacent_classes(p):
-                products += 1
-                offer((r, q), adjacency_blocks[(r, p)] @ local)
-            for s in graph.adjacent_classes(q):
-                products += 1
-                offer((p, s), local @ adjacency_blocks[(q, s)])
+            for (r, c), a_block in adjacency_blocks.items():
+                if c == p:
+                    products += 1
+                    offer((r, q), a_block @ local)
+            for (r, s), a_block in adjacency_blocks.items():
+                if r == q:
+                    products += 1
+                    offer((p, s), local @ a_block)
     return space, rounds, products
 
 
@@ -249,6 +254,25 @@ def test_stray_zero_block_entry_fails_closure_seeding(m):
         closure(g)
 
 
+def test_seed_guard_names_the_first_differing_entry():
+    # vertex 3 is a neighbour of the base vertex, and (2, 7) is a non-edge
+    # later in row-major order: only the first difference is named
+    from oddterw import GraphStructureError, OddGraph
+
+    g = OddGraph(2)
+    entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
+    del entries[(0, 3)], entries[(3, 0)]
+    entries[(2, 7)] = entries[(7, 2)] = 1
+    g._adjacency = IntMatrix(g.num_vertices, g.num_vertices, entries)
+    message = (
+        "adjacency block (0, 1): the embedded adjacency seeds differ from"
+        " the graph's adjacency at entry (0, 3)"
+    )
+    with pytest.raises(GraphStructureError) as raised:
+        closure(g)
+    assert str(raised.value) == message
+
+
 def test_closure_divergence_cap():
     from oddterw import OddGraph
 
@@ -376,7 +400,7 @@ def test_family_missing_a_generator_differs_from_the_per_parity_reading(graph_fa
     g = graph_factory(2)
     result = verify_generator_basis(g, closure_factory(2), block_generators(2)[:-1])
     assert result.status == "fail"
-    assert {"kind": "family_readings_differ", "only_uniform": 0, "only_parity": 1} in result.witnesses
+    assert {"kind": "family_readings_differ", "only_checked": 0, "only_parity": 1} in result.witnesses
     assert result.notes == []
 
 

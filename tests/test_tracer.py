@@ -3,10 +3,13 @@
 `perfbench/tracer.py` rebinds module attributes from outside.  A function
 that the library captured elsewhere (in a table built at import, say)
 escapes those wrappers, and the benchmark's traced run then fails its
-self-check.  This runs the tracer on a small command and reads what it saw;
-nothing under `perfbench/` is changed.
+self-check.  Each workload of `perfbench/run.py` must also still call
+every layer it lists as exercised.  These tests run the tracer on small
+commands and read what it saw; nothing under `perfbench/` is changed or
+written.
 """
 
+import functools
 import json
 import os
 import runpy
@@ -16,19 +19,24 @@ from pathlib import Path
 
 import oddterw
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
-def test_tracer_records_every_traced_name(tmp_path):
+@functools.cache
+def tracer_namespace() -> dict:
     # run_path compiles from source and leaves no bytecode cache in perfbench/
-    tracer = runpy.run_path(str(TRACER), run_name="perfbench_tracer")
+    return runpy.run_path(str(TRACER), run_name="perfbench_tracer")
+
+
+def traced_names(argv, out_dir: Path) -> set[str]:
+    """Every name the tracer recorded a call to while running `argv`."""
     # the child imports the same sources as this process, installed or not
     path = [str(Path(oddterw.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    spans = tmp_path / "spans.json"
-    argv = ["verify", "--m", "2", "--checks", "all", "--out", str(tmp_path / "out")]
+    spans = out_dir / "spans.json"
     proc = subprocess.run(
-        [sys.executable, str(TRACER), str(spans), *argv],
+        [sys.executable, str(TRACER), str(spans), *argv, "--out", str(out_dir / "out")],
         capture_output=True,
         text=True,
         env=env,
@@ -36,5 +44,29 @@ def test_tracer_records_every_traced_name(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(spans.read_text())
-    seen = {s[tracer["NAME"]] for s in doc["spans"]} | {k for k, v in doc["counts"].items() if v}
-    assert set(tracer["TRACED"]) - seen == set()
+    return {s[tracer_namespace()["NAME"]] for s in doc["spans"]} | {k for k, v in doc["counts"].items() if v}
+
+
+def test_tracer_records_every_traced_name(tmp_path):
+    seen = traced_names(["verify", "--m", "2", "--checks", "all"], tmp_path)
+    assert set(tracer_namespace()["TRACED"]) - seen == set()
+
+
+def test_each_benchmark_workload_calls_what_it_exercises(tmp_path, monkeypatch):
+    # run.py imports tracer.py by name from its own directory; importing it
+    # must write no bytecode there, and the import is dropped afterwards
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        bench = runpy.run_path(str(PERFBENCH / "run.py"), run_name="perfbench_run")
+    finally:
+        sys.modules.pop("tracer", None)
+    for name, workload in bench["WORKLOADS"].items():
+        argv = workload.argv(bench["DEFAULT_PRIMES"])
+        argv[argv.index("--m") + 1] = "2"
+        if "--sweep-max" in argv:
+            at = argv.index("--sweep-max") + 1
+            argv[at] = str(min(int(argv[at]), 3))
+        (tmp_path / name).mkdir()
+        missing = workload.exercises - traced_names(argv, tmp_path / name)
+        assert missing == set(), f"{name} records no call to {sorted(missing)}"
