@@ -167,24 +167,20 @@ def run_verify(config: RunConfig) -> VerificationReport:
     checks that needed the lost result are reported as skipped.
     """
 
-    def timed(name: str, check, *args) -> CheckResult:
+    def timed(check, *args) -> CheckResult:
         t0 = time.perf_counter()
         result = check(*args)
-        result.name = name
         result.ms = int((time.perf_counter() - t0) * 1000)
         return result
 
     graph = OddGraph(config.m) if config.needs_graph else None
     gens = block_generators(config.m) if config.needs_closure else None
-    # entries each check adds per field; the verifiers are looked up on every
-    # call, not at import, so a rebound module attribute takes effect
+    # the verifiers each check runs per field, each naming its own entry; looked
+    # up on every call, not at import, so a rebound module attribute takes effect
     per_field = {
-        "containment": [
-            ("containment-closure-in-span", verify_closure_in_generator_span, gens),
-            ("containment-span-in-closure", verify_generators_in_closure, gens),
-        ],
-        "memberships": [("memberships", verify_membership_families)],
-        "basis": [("basis", verify_generator_basis, gens)],
+        "containment": [(verify_closure_in_generator_span, gens), (verify_generators_in_closure, gens)],
+        "memberships": [(verify_membership_families,)],
+        "basis": [(verify_generator_basis, gens)],
     }
     closures = None  # field -> closure once computed; empty when that failed
     checks: list[CheckResult] = []
@@ -204,17 +200,17 @@ def run_verify(config: RunConfig) -> VerificationReport:
                 CheckResult(name=name, status=SKIPPED, params={"reason": "closure computation failed"})
             )
         elif name == "products":
-            checks.append(timed("products", _check_products, config))
+            checks.append(timed(_check_products, config))
         elif name == "blocks":
-            checks.append(timed("blocks", verify_adjacency_blocks, graph))
+            checks.append(timed(verify_adjacency_blocks, graph))
         elif name == "dimension":
-            checks.append(timed("dimension", _check_dimension, config))
+            checks.append(timed(_check_dimension, config))
         elif name == "closure":
-            checks.append(timed("closure", _check_closure_dimensions, config, closures))
+            checks.append(timed(_check_closure_dimensions, config, closures))
         else:
-            for prime, clo in closures.items():
-                for label, verify, *args in per_field[name]:
-                    checks.append(timed(f"{label}[{field_name(prime)}]", verify, graph, clo, *args))
+            for clo in closures.values():
+                for verify, *args in per_field[name]:
+                    checks.append(timed(verify, graph, clo, *args))
         checks[first].ms += closure_ms
 
     field_desc = "+".join(field_name(p) for p in config.fields)

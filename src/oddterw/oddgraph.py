@@ -223,14 +223,11 @@ def expected_block_factors(m: int, block: BlockRef) -> tuple[IntMatrix, IntMatri
     return intersection_matrix(a, b, 0, m), intersection_matrix(u, w, 0, m + 1)
 
 
-def _first_difference(got: IntMatrix, expected: IntMatrix):
-    """First (row, col, got value, expected value) in row-major order where the two differ."""
-    for r in sorted(got._rows.keys() | expected._rows.keys()):
-        got_row, expected_row = got._rows.get(r, {}), expected._rows.get(r, {})
-        for c in sorted(got_row.keys() | expected_row.keys()):
-            if got_row.get(c, 0) != expected_row.get(c, 0):
-                return r, c, got_row.get(c, 0), expected_row.get(c, 0)
-    return None
+def first_difference(got: dict[int, int], expected: dict[int, int]) -> int | None:
+    """Smallest row-major coordinate where two vectors differ, or None when they are equal."""
+    if got == expected:
+        return None
+    return min(k for k in got.keys() | expected.keys() if got.get(k) != expected.get(k))
 
 
 def verify_adjacency_blocks(graph: OddGraph) -> CheckResult:
@@ -250,23 +247,20 @@ def verify_adjacency_blocks(graph: OddGraph) -> CheckResult:
             blocks[(bi, bj)] = graph.extract_block(a, (bi, bj))
     for (bi, bj), got in sorted(blocks.items()):
         factors = expected_block_factors(m, (bi, bj))
-        expected = (
-            IntMatrix.zeros(graph.class_size(bi), graph.class_size(bj))
-            if factors is None
-            else kron(*factors)
-        )
-        if got != expected:
-            r, c, got_v, exp_v = _first_difference(got, expected)
+        got_vec = got.vectorize()
+        expected = {} if factors is None else kron(*factors).vectorize()
+        coord = first_difference(got_vec, expected)
+        if coord is not None:
             witnesses.append(
                 {
                     "kind": "zero_block_violated" if factors is None else "block_mismatch",
                     "block": [bi, bj],
-                    "entry": [r, c],
-                    "got": got_v,
-                    "expected": exp_v,
+                    "entry": list(divmod(coord, got.ncols)),
+                    "got": got_vec.get(coord, 0),
+                    "expected": expected.get(coord, 0),
                 }
             )
     for (bi, bj), got in sorted(blocks.items()):
         if bi <= bj and blocks[(bj, bi)] != got.transpose():
             witnesses.append({"kind": "symmetry_violated", "block": [bi, bj]})
-    return CheckResult.from_witnesses("adjacency-blocks", witnesses, params={"m": m})
+    return CheckResult.from_witnesses("blocks", witnesses, params={"m": m})

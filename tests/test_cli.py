@@ -10,7 +10,19 @@ import pytest
 
 import oddterw
 from dense_oracle import dense_from_matrix_market
-from oddterw import GraphStructureError, IntMatrix, OddGraph, load_report_schema
+from oddterw import (
+    GraphStructureError,
+    IntMatrix,
+    OddGraph,
+    block_generators,
+    closure,
+    load_report_schema,
+    verify_adjacency_blocks,
+    verify_closure_in_generator_span,
+    verify_generator_basis,
+    verify_generators_in_closure,
+    verify_membership_families,
+)
 from oddterw.cli import RunConfig, main, run_verify
 from oddterw.report import CheckResult
 
@@ -195,7 +207,7 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
 
     def failing_blocks(graph):
         return CheckResult(
-            name="adjacency-blocks",
+            name="blocks",
             status="fail",
             witnesses=[{"kind": "block_mismatch", "block": [0, 1], "entry": [0, 0]}],
         )
@@ -205,6 +217,7 @@ def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert rc == 1
     report = json.loads((tmp_path / "fail" / "report.json").read_text())
     jsonschema.validate(report, load_report_schema())
+    assert report["checks"][0]["name"] == "blocks"
     assert report["checks"][0]["status"] == "fail"
     assert report["checks"][0]["witnesses"]
 
@@ -355,6 +368,28 @@ def test_report_depends_on_the_check_selection_not_its_order():
     assert timeless(repeated) == timeless(canonical)
     assert [c.name for c in canonical.checks] == [
         "closure", "basis[gf(1000000007)]", "basis[gf(998244353)]", "basis[exact]",
+    ]
+
+
+def test_each_check_returns_the_name_its_report_entry_shows():
+    # run_verify only times a check; the name in the report is the check's own
+    config = RunConfig(m=2, checks=("blocks", "containment", "memberships", "basis"))
+    reported = [c.name for c in run_verify(config).checks]
+    g, gens = OddGraph(2), block_generators(2)
+    closures = [closure(g, prime=prime) for prime in config.fields]
+    direct = [verify_adjacency_blocks(g).name]
+    direct += [
+        verify(g, clo, gens).name
+        for clo in closures
+        for verify in (verify_closure_in_generator_span, verify_generators_in_closure)
+    ]
+    direct += [verify_membership_families(g, clo).name for clo in closures]
+    direct += [verify_generator_basis(g, clo, gens).name for clo in closures]
+    assert direct == reported
+    assert reported[:3] == [
+        "blocks",
+        "containment-closure-in-span[gf(1000000007)]",
+        "containment-span-in-closure[gf(1000000007)]",
     ]
 
 

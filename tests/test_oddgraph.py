@@ -13,7 +13,7 @@ from oddterw import (
     kron,
     verify_adjacency_blocks,
 )
-from oddterw.oddgraph import part_sizes
+from oddterw.oddgraph import first_difference, part_sizes
 
 
 def test_build_rejects_bad_m():
@@ -205,6 +205,8 @@ def test_expected_factors_cover_all_nonzero_blocks():
 @pytest.mark.parametrize(
     "changes,witness",
     [
+        # no change: the vectors are equal and every block passes
+        ({}, None),
         # added inside the admissible block (1, 2): vertices 2 and 7 are not adjacent
         ({(2, 7): 1},
          {"kind": "block_mismatch", "block": [1, 2], "entry": [1, 3], "got": 1, "expected": 0}),
@@ -217,16 +219,27 @@ def test_expected_factors_cover_all_nonzero_blocks():
         # vertex 5 is at distance 2 from the base vertex: the zero block (0, 2)
         ({(0, 5): 1},
          {"kind": "zero_block_violated", "block": [0, 2], "entry": [0, 1], "got": 1, "expected": 0}),
+        # a changed value: both sides hold the entry, 2 against 1
+        ({(0, 1): 2},
+         {"kind": "block_mismatch", "block": [0, 1], "entry": [0, 0], "got": 2, "expected": 1}),
     ],
-    ids=["added", "removed", "removed-row", "zero-block"],
+    ids=["equal", "added", "removed", "removed-row", "zero-block", "changed"],
 )
 def test_flipped_entry_reported_with_witness(graph_factory, monkeypatch, changes, witness):
     g = graph_factory(2)
+    original = g.adjacency().vectorize()
     entries = {(r, c): v for r, c, v in g.adjacency().iter_entries()}
     assert all(entries.get(k, 0) != v for k, v in changes.items())
     entries.update(changes)  # the constructor drops the zeros
-    monkeypatch.setattr(g, "adjacency", lambda: IntMatrix(10, 10, entries))
+    tampered = IntMatrix(10, 10, entries)
+    # on the ambient vectors the first difference is the first changed entry
+    first = min((r * 10 + c for r, c in changes), default=None)
+    assert first_difference(tampered.vectorize(), original) == first
+    monkeypatch.setattr(g, "adjacency", lambda: tampered)
     result = verify_adjacency_blocks(g)
+    if witness is None:
+        assert (result.status, result.witnesses) == ("pass", [])
+        return
     assert result.status == "fail"
     # the fault is one-sided, so the opposite block is no longer its transpose
     assert result.witnesses == [witness, {"kind": "symmetry_violated", "block": witness["block"]}]

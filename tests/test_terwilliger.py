@@ -131,6 +131,13 @@ def test_uniform_and_parity_families_coincide(m):
     assert uniform == parity
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_block_generators_sorted_by_block_l_s(m):
+    # the dependent_generator witness indexes into this order; s is the right factor's l
+    keys = [(*g.block, g.left.l, g.right.l) for g in block_generators(m)]
+    assert keys == sorted(set(keys))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_top_row_even_blocks_have_single_generator(m):
     for j in range(m // 2 + 1):
@@ -438,6 +445,18 @@ def test_membership_families_pass_small(graph_factory, closure_factory, m):
     result = verify_membership_families(graph_factory(m), closure_factory(m))
     assert result.status == "pass"
     assert result.params["cases"] == len(membership_family_cases(m))
+
+
+def test_membership_note_says_the_check_is_a_transcription(graph_factory, closure_factory):
+    result = verify_membership_families(graph_factory(2), closure_factory(2))
+    assert result.notes == [
+        "transcribes the paper's two derived families; it adds nothing once basis passes,"
+        " because every well-shaped kron(H, H) on a block lies in T"
+    ]
+    # what the note claims: every member is a generator of the family basis checks
+    for m in range(1, 7):
+        members = {case["generator"] for case in membership_family_cases(m)}
+        assert members <= set(block_generators(m))
 
 
 def test_specific_membership_m3(graph_factory, closure_factory):

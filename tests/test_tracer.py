@@ -4,9 +4,10 @@
 that the library captured elsewhere (in a table built at import, say)
 escapes those wrappers, and the benchmark's traced run then fails its
 self-check.  Each workload of `perfbench/run.py` must also still call
-every layer it lists as exercised.  These tests run the tracer on small
-commands and read what it saw; nothing under `perfbench/` is changed or
-written.
+every layer it lists as exercised, and its report must hold exactly the
+entry names the benchmark expects.  These tests run each workload's
+command at m = 2, under the tracer where they read what it saw; nothing
+under `perfbench/` is changed or written.
 """
 
 import functools
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import oddterw
+from oddterw.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -52,21 +54,50 @@ def test_tracer_records_every_traced_name(tmp_path):
     assert set(tracer_namespace()["TRACED"]) - seen == set()
 
 
-def test_each_benchmark_workload_calls_what_it_exercises(tmp_path, monkeypatch):
+@functools.cache
+def bench_namespace() -> dict:
+    """The globals of perfbench/run.py, loaded without writing anything there."""
     # run.py imports tracer.py by name from its own directory; importing it
     # must write no bytecode there, and the import is dropped afterwards
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    sys.path.insert(0, str(PERFBENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        bench = runpy.run_path(str(PERFBENCH / "run.py"), run_name="perfbench_run")
+        return runpy.run_path(str(PERFBENCH / "run.py"), run_name="perfbench_run")
     finally:
+        sys.dont_write_bytecode = write_bytecode
+        sys.path.remove(str(PERFBENCH))
         sys.modules.pop("tracer", None)
+
+
+def small_workloads():
+    """Each benchmark workload's name, its argv at m = 2 with --sweep-max at most 3, and the workload."""
+    bench = bench_namespace()
     for name, workload in bench["WORKLOADS"].items():
         argv = workload.argv(bench["DEFAULT_PRIMES"])
         argv[argv.index("--m") + 1] = "2"
         if "--sweep-max" in argv:
             at = argv.index("--sweep-max") + 1
             argv[at] = str(min(int(argv[at]), 3))
+        if "exact" not in workload.fields:
+            # exact arithmetic is on by default at m = 2; this workload's m runs without it
+            argv.append("--no-exact")
+        yield name, argv, workload
+
+
+def test_each_benchmark_workload_calls_what_it_exercises(tmp_path):
+    for name, argv, workload in small_workloads():
         (tmp_path / name).mkdir()
         missing = workload.exercises - traced_names(argv, tmp_path / name)
         assert missing == set(), f"{name} records no call to {sorted(missing)}"
+
+
+def test_each_benchmark_workload_reports_the_checks_it_expects(tmp_path):
+    # the benchmark refuses a report whose entry names or fields differ from these
+    expected_primes = bench_namespace()["DEFAULT_PRIMES"]
+    for name, argv, workload in small_workloads():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == len(set(names)), f"{name}: {names}"
+        assert set(names) == workload.expected_checks(expected_primes), name
+        assert report["field"] == "+".join(workload.field_labels(expected_primes)), name
