@@ -141,9 +141,10 @@ def _check_dimension(config: RunConfig) -> CheckResult:
     )
 
 
-def _check_closure_dimensions(config: RunConfig, closures: dict) -> CheckResult:
+def _check_closure(
+    config: RunConfig, dims: dict[str, int], missed: dict[str, tuple[str, ...]]
+) -> CheckResult:
     witnesses = []
-    dims = {field_name(p): clo.dimension for p, clo in closures.items()}
     expected = dimension_formula(config.m).binomial
     if len(set(dims.values())) > 1:
         witnesses.append({"kind": "dimension_disagreement", "dims": dims})
@@ -152,29 +153,34 @@ def _check_closure_dimensions(config: RunConfig, closures: dict) -> CheckResult:
             witnesses.append(
                 {"kind": "closure_dimension_mismatch", "field": name, "dim": d, "expected": expected}
             )
+    for name, words in missed.items():
+        witnesses += [{"kind": "word_outside_closure", "field": name, "word": word} for word in words]
     return CheckResult.from_witnesses(
         "closure", witnesses, params={"dims": dims, "dimension": expected}
     )
 
 
-def run_verify(config: RunConfig) -> VerificationReport:
-    """Run the selected checks and return the aggregated report.
+def _timed(check, *args) -> CheckResult:
+    t0 = time.perf_counter()
+    result = check(*args)
+    result.ms = int((time.perf_counter() - t0) * 1000)
+    return result
 
-    The closures are computed when the first check that needs them comes
-    up, and their time goes into the first entry added at that point.
-    Internal errors from the kernel (divergence, for instance) become a
-    failing `closure-computation` entry instead of propagating, and the
-    checks that needed the lost result are reported as skipped.
+
+def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
+    """The entries of the selected closure checks, one field's closure at a time.
+
+    Each field's closure is computed, handed to every selected per-field
+    verifier and dropped before the next field starts, so at most one
+    closure is alive at once; only the verifiers' entries, the closure's
+    dimension and its `missed_words` outlive it.  The `closure` check then
+    compares the kept dimensions and reports each missed word.  Entries come in CHECK_NAMES order, then in field order,
+    and the closures' summed time goes into the first.  A kernel error in
+    any field (divergence, for instance) gives one failing
+    `closure-computation` entry followed by every selected closure check
+    as skipped; entries from earlier fields are dropped with it.
     """
-
-    def timed(check, *args) -> CheckResult:
-        t0 = time.perf_counter()
-        result = check(*args)
-        result.ms = int((time.perf_counter() - t0) * 1000)
-        return result
-
-    graph = OddGraph(config.m) if config.needs_graph else None
-    gens = block_generators(config.m) if config.needs_closure else None
+    gens = block_generators(config.m)
     # the verifiers each check runs per field, each naming its own entry; looked
     # up on every call, not at import, so a rebound module attribute takes effect
     per_field = {
@@ -182,36 +188,57 @@ def run_verify(config: RunConfig) -> VerificationReport:
         "memberships": [(verify_membership_families,)],
         "basis": [(verify_generator_basis, gens)],
     }
-    closures = None  # field -> closure once computed; empty when that failed
-    checks: list[CheckResult] = []
-    for name in config.checks:
-        first, closure_ms = len(checks), 0
-        if name in CLOSURE_CHECKS and closures is None:
-            t0 = time.perf_counter()
-            try:
-                closures = {prime: closure(graph, prime=prime) for prime in config.fields}
-            except OddTerwError as exc:
-                closures = {}
-                witnesses = [{"kind": "internal", "detail": str(exc)}]
-                checks.append(CheckResult(name="closure-computation", status=FAIL, witnesses=witnesses))
-            closure_ms = int((time.perf_counter() - t0) * 1000)
-        if name in CLOSURE_CHECKS and not closures:
-            checks.append(
+    selected = [name for name in config.checks if name in CLOSURE_CHECKS]
+    entries: dict[str, list[CheckResult]] = {name: [] for name in selected}
+    dims: dict[str, int] = {}
+    missed: dict[str, tuple[str, ...]] = {}
+    closure_s = 0.0
+    for prime in config.fields:
+        t0 = time.perf_counter()
+        try:
+            clo = closure(graph, prime=prime)
+        except OddTerwError as exc:
+            witnesses = [{"kind": "internal", "detail": str(exc)}]
+            failed = CheckResult(name="closure-computation", status=FAIL, witnesses=witnesses)
+            failed.ms = int((closure_s + time.perf_counter() - t0) * 1000)
+            return [failed] + [
                 CheckResult(name=name, status=SKIPPED, params={"reason": "closure computation failed"})
-            )
-        elif name == "products":
-            checks.append(timed(_check_products, config))
-        elif name == "blocks":
-            checks.append(timed(verify_adjacency_blocks, graph))
-        elif name == "dimension":
-            checks.append(timed(_check_dimension, config))
-        elif name == "closure":
-            checks.append(timed(_check_closure_dimensions, config, closures))
-        else:
-            for clo in closures.values():
-                for verify, *args in per_field[name]:
-                    checks.append(timed(verify, graph, clo, *args))
-        checks[first].ms += closure_ms
+                for name in selected
+            ]
+        closure_s += time.perf_counter() - t0
+        dims[field_name(prime)] = clo.dimension
+        missed[field_name(prime)] = clo.missed_words
+        for name in selected:
+            for verify, *args in per_field.get(name, ()):
+                entries[name].append(_timed(verify, graph, clo, *args))
+        del clo  # before the next field's closure is computed, not after
+    if "closure" in entries:
+        entries["closure"].append(_timed(_check_closure, config, dims, missed))
+    checks = [entry for name in selected for entry in entries[name]]
+    checks[0].ms += int(closure_s * 1000)
+    return checks
+
+
+def run_verify(config: RunConfig) -> VerificationReport:
+    """Run the selected checks and return the aggregated report.
+
+    Checks run in CHECK_NAMES order, where the closure checks sit together
+    between `blocks` and `dimension`.  `_closure_checks` runs those one
+    field at a time, with at most one closure alive, so a third field adds
+    time but no peak memory.  A kernel error in a closure becomes a failing
+    `closure-computation` entry instead of propagating, and the checks that
+    needed the lost result are reported as skipped.
+    """
+    graph = OddGraph(config.m) if config.needs_graph else None
+    checks: list[CheckResult] = []
+    if "products" in config.checks:
+        checks.append(_timed(_check_products, config))
+    if "blocks" in config.checks:
+        checks.append(_timed(verify_adjacency_blocks, graph))
+    if config.needs_closure:
+        checks += _closure_checks(config, graph)
+    if "dimension" in config.checks:
+        checks.append(_timed(_check_dimension, config))
 
     field_desc = "+".join(field_name(p) for p in config.fields)
     return VerificationReport(m=config.m, field=field_desc, checks=checks)

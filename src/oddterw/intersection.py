@@ -51,21 +51,33 @@ class HSpec:
 
 
 @lru_cache(maxsize=None)
+def _rank_table(v: int, size: int) -> dict[tuple[int, ...], int]:
+    """{subset: SubsetIndex(v, size).rank(subset)} over every size-subset of a v-set.
+
+    One `rank` call per subset, for all the intersection matrices that share
+    this column set.
+    """
+    index = SubsetIndex(v, size)
+    return {subset: index.rank(subset) for subset in index.subsets()}
+
+
+@lru_cache(maxsize=None)
 def intersection_matrix(i: int, j: int, l: int, v: int) -> IntMatrix:
     """The 0/1 matrix with entry (y, z) = 1 iff |y ∩ z| = l.
 
     Rows are i-subsets and columns j-subsets of {0..v-1}, both in colex
-    order.  Out-of-range l yields the zero matrix.  Results are cached and
-    shared; callers must not mutate them.
+    order.  Out-of-range l yields the zero matrix.  Column indices are read
+    from `_rank_table(v, j)`.  Results are cached and shared; callers must
+    not mutate them.
     """
     if not (0 <= i <= v and 0 <= j <= v):
         raise ParameterError(f"subset sizes ({i}, {j}) exceed ground size {v}")
     row_index = SubsetIndex(v, i)
-    col_index = SubsetIndex(v, j)
-    nrows, ncols = row_index.count, col_index.count
+    nrows, ncols = row_index.count, binomial(v, j)
     if l < 0 or l > min(i, j):
         return IntMatrix.zeros(nrows, ncols)
     rows: dict[int, dict[int, int]] = {}
+    col_rank = _rank_table(v, j)
     # Per row y, enumerate exactly the columns meeting y in l points instead
     # of filtering all C(v, j) subsets.
     for r, y in enumerate(row_index.subsets()):
@@ -73,8 +85,7 @@ def intersection_matrix(i: int, j: int, l: int, v: int) -> IntMatrix:
         row = {}
         for inside in itertools.combinations(y, l):
             for outside in itertools.combinations(complement, j - l):
-                z = tuple(sorted(inside + outside))
-                row[col_index.rank(z)] = 1
+                row[col_rank[tuple(sorted(inside + outside))]] = 1
         if row:
             rows[r] = row
     return IntMatrix._wrap(nrows, ncols, rows)

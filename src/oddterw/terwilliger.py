@@ -157,12 +157,15 @@ class ClosureResult:
 
     Once stabilized, left and right multiplication by the adjacency matrix
     and by every distance projector maps the span into itself.
+    `missed_words` names the spot-check words found outside the span; it is
+    empty for a sound closure.
     """
 
     space: MatrixSpace
     dimension: int
     rounds: int
     products_computed: int
+    missed_words: tuple[str, ...]
 
 
 def projector_factors(m: int, d: int) -> tuple[HSpec, HSpec]:
@@ -216,6 +219,15 @@ def closure(
     mismatch raises GraphStructureError naming the block and the entry
     (r, c) of the first difference in row-major order.  This reuses the
     seed vectors and adds no `embed_vector` call.
+
+    The seed guard covers words of length one.  Once the span stabilizes,
+    three longer words, A^2, A E_1* A and A^3 E_m*, are multiplied out as
+    n x n products of `graph.adjacency()` and `graph.dual_idempotent(d)`
+    and must lie in the span; each one missed is named in the result's
+    `missed_words`, for the `closure` check to report, so the checks that
+    read the span still run on it.  They use no factor and no
+    `embed_vector`, so an embedding that moves products off the seeds'
+    blocks cannot vouch for itself.
 
     `shuffle`, when given, randomizes processing order inside each round;
     the resulting dimension must not depend on it.
@@ -281,11 +293,25 @@ def closure(
                     products += 1
                     offer((p, s), left @ a_left, right @ a_right)
 
+    # the seeds vouch for words of length one; three longer words, multiplied
+    # out as n x n products of the graph's own matrices, vouch for the products
+    a = graph.adjacency()
+    a_squared = a @ a
+    words = {
+        "A^2": a_squared,
+        "A E_1* A": a @ (graph.dual_idempotent(1) @ a),
+        f"A^3 E_{m}*": a_squared @ (a @ graph.dual_idempotent(m)),
+    }
+    missed = tuple(
+        word for word, matrix in words.items() if not space.contains_vector(matrix.vectorize())
+    )
+
     return ClosureResult(
         space=space,
         dimension=space.dim,
         rounds=rounds,
         products_computed=products,
+        missed_words=missed,
     )
 
 

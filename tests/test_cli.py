@@ -1,8 +1,11 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -409,6 +412,73 @@ def test_closure_failure_entry_comes_before_the_skipped_entries(monkeypatch):
         ("basis", "skipped"),
         ("dimension", "pass"),
     ]
+
+
+def test_a_closure_failure_in_a_later_field_gives_the_same_report(monkeypatch):
+    # the entries of the fields before the failing one are dropped with their closures
+    import oddterw.cli as cli_module
+    from oddterw import ClosureDivergenceError
+
+    real_closure = cli_module.closure
+
+    def failing_for(bad_prime):
+        def closure_failing_for_one_field(graph, prime=None, **kwargs):
+            if prime == bad_prime:
+                raise ClosureDivergenceError("closure did not stabilize")
+            return real_closure(graph, prime=prime, **kwargs)
+
+        return closure_failing_for_one_field
+
+    config = RunConfig(m=2, checks=("blocks", "closure", "containment", "basis"))
+    reports = []
+    for bad_prime in config.primes:
+        monkeypatch.setattr(cli_module, "closure", failing_for(bad_prime))
+        reports.append(timeless(run_verify(config)))
+    first, second = reports
+    assert second == first
+    assert [(c["name"], c["status"]) for c in second["checks"]] == [
+        ("blocks", "pass"),
+        ("closure-computation", "fail"),
+        ("closure", "skipped"),
+        ("containment", "skipped"),
+        ("basis", "skipped"),
+    ]
+
+
+def test_at_most_one_closure_is_alive_at_a_time(monkeypatch):
+    import oddterw.cli as cli_module
+
+    real_closure = cli_module.closure
+    results = []
+    alive_at_each_call = []
+
+    def tracked_closure(graph, **kwargs):
+        gc.collect()
+        alive_at_each_call.append(sum(ref() is not None for ref in results))
+        result = real_closure(graph, **kwargs)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli_module, "closure", tracked_closure)
+    config = RunConfig(m=2, checks=("all",))
+    assert len(config.fields) == 3
+    assert run_verify(config).all_passed
+    assert alive_at_each_call == [0, 0, 0]
+
+
+def test_peak_memory_does_not_grow_with_the_field_count():
+    checks = ("closure", "containment", "memberships", "basis")
+    run_verify(RunConfig(m=4, checks=checks))  # warms the intersection-matrix caches
+    peaks = {}
+    for exact in (False, True):
+        config = RunConfig(m=4, checks=checks, exact=exact)
+        tracemalloc.start()
+        try:
+            assert run_verify(config).all_passed
+            peaks[len(config.fields)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] <= 1.1 * peaks[2], peaks
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from oddterw import (
     HSpec,
     IntMatrix,
     ParameterError,
+    SubsetIndex,
     binomial,
     decompose_product,
     disjoint_product_expansion,
@@ -60,6 +61,23 @@ def test_nonzero_iff_in_intersection_range():
                 rng = intersection_range(i, j, v)
                 for l in range(-1, min(i, j) + 2):
                     assert intersection_matrix(i, j, l, v).is_zero() == (l not in rng)
+
+
+def test_matches_a_brute_force_filter_over_subset_pairs():
+    # entry (y, z) is 1 exactly when |y ∩ z| = l, each subset ranked by its place in subsets()
+    for v in range(0, 7):
+        for i in range(v + 1):
+            rows = SubsetIndex(v, i).subsets()
+            for j in range(v + 1):
+                cols = SubsetIndex(v, j).subsets()
+                for l in range(-1, min(i, j) + 2):
+                    entries = {
+                        (r, c): 1
+                        for r, y in enumerate(rows)
+                        for c, z in enumerate(cols)
+                        if len(set(y) & set(z)) == l
+                    }
+                    assert intersection_matrix(i, j, l, v) == IntMatrix(len(rows), len(cols), entries)
 
 
 def test_partition_of_all_ones():

@@ -22,11 +22,16 @@ Faults covered here:
   intersection matrices with l mirrored in its range, a generator family
   missing its largest s in every block, `embed_vector` with the roles of
   its two factors swapped or with the two class offsets of its block
-  swapped, and an adjacency factor table with a zero left factor at block
-  (1, 2).  The closure calls no `kron`, so only `blocks` sees the swapped
-  `kron`.  Factor roles swapped relocate the closure and the generator
-  family alike, inside each distance class, so only the closure's
-  comparison of its seeds with `graph.adjacency()` sees it;
+  swapped, an adjacency factor table with a zero left factor at block
+  (1, 2), and `embed_vector` reversing the column order of every block two
+  or more classes off the diagonal.  The closure calls no `kron`, so only
+  `blocks` sees the swapped `kron`.  Factor roles swapped relocate the
+  closure and the generator family alike, inside each distance class, so
+  only the closure's comparison of its seeds with `graph.adjacency()` sees
+  it.  Reversed far columns move the closure and the family alike on
+  blocks that hold no seed, so only the closure's spot-check of longer
+  words sees them: A^2 meets those blocks and is missed.  The one-round
+  closure misses A^3 E_3*, and the `closure` entry names both words;
 - span membership: `MatrixSpace.contains_vector` answering True for every
   vector, and an `_eliminate` that pops the pivot row's support out of the
   vector and drops the differences instead of putting them back.  Under
@@ -251,6 +256,17 @@ def embed_offsets_swapped(graph, left, right, block):
     }
 
 
+def embed_far_columns_reversed(graph, left, right, block):
+    # blocks two or more classes off the diagonal hold no seed: column c of
+    # class q moves to 2 * offset_q + size_q - 1 - c
+    p, q = block
+    vec = ORIGINAL_EMBED(graph, left, right, block)
+    if abs(p - q) < 2:
+        return vec
+    n, last = graph.num_vertices, 2 * graph.class_offset(q) + graph.class_size(q) - 1
+    return {coord - coord % n + last - coord % n: value for coord, value in vec.items()}
+
+
 def factors_with_zero_left_at_1_2(m, block):
     factors = ORIGINAL_FACTORS(m, block)
     if block == (1, 2):
@@ -298,10 +314,11 @@ def verify_m3_all(tmp_path, capsys):
         ([(oddgraph, "expected_block_factors", factors_with_zero_left_at_1_2),
           (terwilliger, "expected_block_factors", factors_with_zero_left_at_1_2)],
          {"blocks", "closure-computation"}, "adjacency block (1, 2)"),
+        ([(OddGraph, "embed_vector", embed_far_columns_reversed)], {"closure"}, None),
     ],
     ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
          "embed-factors-swapped", "embed-offsets-swapped", "contains-always-true",
-         "factor-table-zero-left"],
+         "factor-table-zero-left", "embed-far-columns-reversed"],
 )
 def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, detail):
     for target, name, fault in patches:
@@ -313,6 +330,28 @@ def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, fail
     if detail is not None:
         (witness,) = failed["closure-computation"]
         assert witness["kind"] == "internal" and detail in witness["detail"]
+
+
+@pytest.mark.parametrize(
+    "target, name, fault, word",
+    [
+        (cli, "closure", closure_cut_to_one_round, "A^3 E_3*"),
+        (OddGraph, "embed_vector", embed_far_columns_reversed, "A^2"),
+    ],
+    ids=["closure-one-round", "embed-far-columns-reversed"],
+)
+def test_closure_entry_names_the_words_outside_the_closure(tmp_path, capsys, monkeypatch,
+                                                           target, name, fault, word):
+    # each field's closure misses the one word, and the checks after it still run
+    monkeypatch.setattr(target, name, fault)
+    code, report = verify_m3_all(tmp_path, capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in report["checks"]}
+    missed = [w for w in checks["closure"]["witnesses"] if w["kind"] == "word_outside_closure"]
+    fields = report["field"].split("+")
+    assert missed == [{"kind": "word_outside_closure", "field": f, "word": word} for f in fields]
+    assert "closure-computation" not in checks
+    assert {c["status"] for c in checks.values()} <= {"pass", "fail"}
 
 
 def test_eliminate_dropping_differences_fails_the_negative_controls(tmp_path, capsys, monkeypatch):
