@@ -43,6 +43,9 @@ DEFAULT_SWEEP_MAX = 7
 #: Sweeping above this ground size needs --allow-large: v = 9 alone takes
 #: about 10 s, and the cost grows super-exponentially.
 SWEEP_MAX_CEILING = 8
+#: No sweep goes above this ground size, not even with --allow-large: v = 10
+#: takes about 30 s, and each further step costs about six times more.
+SWEEP_MAX_LARGE = 10
 DIMENSION_IDENTITY_MAX = 200
 
 
@@ -84,6 +87,8 @@ class RunConfig:
             raise ParameterError("jobs must be at least 1")
         if self.sweep_max < 0:
             raise ParameterError("--sweep-max must be at least 0")
+        if self.sweep_max > SWEEP_MAX_LARGE:
+            raise ParameterError(f"--sweep-max must be at most {SWEEP_MAX_LARGE}")
         if self.sweep_max > SWEEP_MAX_CEILING and not self.allow_large:
             raise ParameterError(f"--sweep-max above {SWEEP_MAX_CEILING} needs --allow-large")
         closure_cap = DEFAULT_MAX_M if self.allow_large else DEFAULT_CLOSURE_MAX_M

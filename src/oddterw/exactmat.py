@@ -2,8 +2,8 @@
 
 Everything here is exact: matrix entries are Python big integers, and span
 arithmetic runs either over GF(p) for a configured prime p or over the
-rationals via fraction-free integer elimination.  No floating point is used
-anywhere in this module.
+rationals, with `fractions.Fraction` for the values that are not integers.
+No floating point is used anywhere in this module.
 
 `IntMatrix.__matmul__` is the one product kernel for every caller.  It
 packs each row of the right factor into a single Python integer, one
@@ -25,9 +25,10 @@ differences.  The multiple of a row whose values are all equal, as in
 every basis row of T, is one product.  A dependent candidate built from
 T's disjoint 0/1 blocks cancels each row it meets exactly, so nothing
 goes back.  The input is copied once on the way in (with `dict` when its
-values are already in range) and never modified.  Over the rationals a
-vector's content is stripped once, when it becomes a basis row, and once
-for each row that is back-substituted, not after every elimination.  The
+values are already in range) and never modified.  Every stored row, in
+every field, has pivot value 1: a new row is scaled by the inverse of its
+pivot value into a fresh dict.  Over the rationals an integral value is
+kept as a plain `int`, so T's 0/1 rows compare and multiply as ints.  The
 reduction stops with `EliminationDivergenceError` after dim + 1 pivot
 eliminations of one vector, which correct arithmetic never needs, and
 `insert_vector` raises it too when a reduced vector still starts at a
@@ -46,8 +47,6 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, compress, repeat
-from math import gcd
-from operator import sub
 from pathlib import Path
 
 from .errors import EliminationDivergenceError, ParameterError, ShapeError
@@ -291,17 +290,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _scaled(values: list[int], f: int, p: int | None) -> list[int]:
-    """f times each of `values`, reduced mod p unless p is None.
+def _stored(x, p: int | None):
+    """x as a stored field value: reduced mod p, or over the rationals (p None)
+    a plain int when it is integral, whether x is an int or a Fraction."""
+    if p is not None:
+        return x % p
+    return x.numerator if x.denominator == 1 else x
+
+
+def _scaled(values: list, f, p: int | None) -> list:
+    """f times each of `values`, as stored field values.
 
     When all values are equal, as in every basis row of T, this is one product.
     """
     first = values[0]
     if values.count(first) == len(values):
-        return [f * first if p is None else f * first % p] * len(values)
-    if p is None:
-        return [f * x for x in values]
-    return [f * x % p for x in values]
+        return [_stored(f * first, p)] * len(values)
+    return [_stored(f * x, p) for x in values]
 
 
 def field_name(prime: int | None) -> str:
@@ -314,10 +319,9 @@ class MatrixSpace:
 
     A vector is a {coordinate: value} map; matrices enter row-major, as
     `IntMatrix.vectorize` or `OddGraph.embed_vector` lays them out.  The
-    basis is held as sparse rows in reduced row-echelon form over GF(p)
-    (pivot value 1) or, with prime=None, as primitive integer rows with
-    positive pivots, reduced fraction-free so that membership and dimension
-    are exact over the rationals.
+    basis is held as sparse rows in reduced row-echelon form with pivot
+    value 1, over GF(p) or, with prime=None, over the rationals, where a
+    value is an int when integral and a `fractions.Fraction` otherwise.
     """
 
     def __init__(self, *, prime: int | None = DEFAULT_PRIME):
@@ -354,15 +358,15 @@ class MatrixSpace:
             raise EliminationDivergenceError(
                 f"reduction left pivot {piv} in a vector over {self.field_name}"
             )
-        self._normalize_row(v, piv)
+        # Scale to pivot value 1 into a fresh dict, which drops the slack the
+        # eliminations' pops left in `v`.
+        v = dict(zip(v, _scaled(list(v.values()), self._inverse(v[piv]), self.prime)))
         # Keep the basis fully reduced: clear the new pivot coordinate from
         # every existing row.  `v` carries no other pivot coordinates, so
         # existing pivots are untouched.
         for row in self._rows.values():
             if piv in row:
                 self._eliminate(row, v, piv)
-                if self.prime is None:
-                    self._strip_content(row)
         self._rows[piv] = v
         return True
 
@@ -418,56 +422,28 @@ class MatrixSpace:
                 fired += 1
             hits = v.keys() & rows.keys()
 
-    def _eliminate(self, v: dict[int, int], row: dict[int, int], c: int):
-        # Subtract the multiple of `row` that clears coordinate c of `v`.
-        # Over the rationals `v` is first scaled by row[c] / gcd, and its
-        # content is left for the caller to strip.  The row's support is
-        # popped out of `v` in one pass and compared with the multiple
-        # whole; only nonzero differences are put back.
+    def _eliminate(self, v: dict, row: dict, c: int):
+        # Subtract v[c] times `row`, whose pivot value is 1, clearing
+        # coordinate c of `v`.  The row's support is popped out of `v` in
+        # one pass and compared with the multiple whole; only nonzero
+        # differences are put back.
         p = self.prime
-        if p is None:
-            a, b = row[c], v[c]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-        else:
-            fa, fb = 1, v[c]  # stored rows have pivot value 1
-        want = _scaled(list(row.values()), fb, p)
+        want = _scaled(list(row.values()), v[c], p)
         old = list(map(v.pop, row, repeat(0)))
-        if fa != 1:
-            for cc in v:
-                v[cc] *= fa
-            old = [fa * x for x in old]
         if old == want:  # the row's support cancels exactly
             return
-        if p is None:
-            new = list(map(sub, old, want))
-        else:
-            new = [(x - w) % p for x, w in zip(old, want)]
+        new = [_stored(x - w, p) for x, w in zip(old, want)]
         v.update(compress(zip(row, new), new))
 
-    @staticmethod
-    def _strip_content(v: dict[int, int]):
-        g = 0
-        for val in v.values():
-            g = gcd(g, val)
-            if g == 1:
-                return
-        if g > 1:
-            for c in v:
-                v[c] //= g
+    def _inverse(self, x):
+        """1 / x as a stored field value."""
+        if self.prime is not None:
+            return pow(x, -1, self.prime)
+        # imported here, not with the module: `fractions` imports `decimal`,
+        # and a run that builds no rational basis needs neither
+        from fractions import Fraction
 
-    def _normalize_row(self, v: dict[int, int], piv: int):
-        p = self.prime
-        if p is not None:
-            inv = pow(v[piv], -1, p)
-            if inv != 1:
-                for c in v:
-                    v[c] = v[c] * inv % p
-        else:
-            self._strip_content(v)
-            if v[piv] < 0:
-                for c in v:
-                    v[c] = -v[c]
+        return _stored(Fraction(1, x), None)
 
 
 # -- Matrix Market exchange format -----------------------------------------

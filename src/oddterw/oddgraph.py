@@ -69,11 +69,11 @@ class OddGraph:
                     self.vertices.append(tuple(sorted(alpha + tuple(b + m for b in beta))))
             self._class_sizes.append(inside_index.count * outside_index.count)
         self.num_vertices = len(self.vertices)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        index = {v: i for i, v in enumerate(self.vertices)}
         self._adjacency: IntMatrix | None = None
 
         self._neighbors = [
-            sorted(self._index[z] for z in combinations(self._complement(y), m))
+            sorted(index[z] for z in combinations(self._complement(y), m))
             for y in self.vertices
         ]
         self._check_structure()
@@ -111,9 +111,6 @@ class OddGraph:
 
     def class_of(self, vertex_index: int) -> int:
         return bisect_right(self.class_offsets, vertex_index) - 1
-
-    def vertex_index(self, y) -> int:
-        return self._index[tuple(sorted(y))]
 
     def bfs_distances(self) -> list[int]:
         dist = [-1] * self.num_vertices

@@ -17,6 +17,7 @@ from oddterw import (
     GraphStructureError,
     IntMatrix,
     OddGraph,
+    ParameterError,
     block_generators,
     closure,
     load_report_schema,
@@ -186,6 +187,12 @@ def test_verify_rejects_bad_parameters(tmp_path, capsys):
     # the ceiling itself and opted-in larger sweeps validate (not run: v = 9 alone takes about 10 s)
     RunConfig(m=2, checks=("products",), sweep_max=8)
     RunConfig(m=2, checks=("products",), sweep_max=9, allow_large=True)
+    RunConfig(m=2, checks=("products",), sweep_max=10, allow_large=True)
+    # --allow-large lifts no bound past 10: v = 10 takes about 30 s, and each step about six times more
+    assert main(products + ["--sweep-max", "11", "--allow-large"]) == 2
+    assert "--sweep-max must be at most 10" in capsys.readouterr().err
+    with pytest.raises(ParameterError, match="at most 10"):
+        RunConfig(m=2, checks=("products",), sweep_max=40, allow_large=True)
 
 
 @pytest.mark.parametrize("checks", [",", ""], ids=["comma", "empty"])

@@ -1,6 +1,6 @@
 import io
 import random
-from math import gcd
+from fractions import Fraction
 
 import pytest
 
@@ -352,7 +352,10 @@ def test_space_reads_values_modulo_p():
 def test_space_drops_zeros_over_the_rationals():
     space = MatrixSpace(prime=None)
     assert space.insert_vector({1: 4, 4: -2, 6: 0})
-    assert list(space.iter_basis()) == [(1, {1: 2, 4: -1})]
+    ((pivot, row),) = space.iter_basis()
+    # pivot value 1 as a plain int, as over GF(p); the other value is a Fraction
+    assert (pivot, row) == (1, {1: 1, 4: Fraction(-1, 2)})
+    assert type(row[1]) is int
     for same in ({1: -2, 4: 1}, {1: 6, 4: -3, 9: 0}):
         assert space.contains_vector(same)
         assert not space.insert_vector(same)
@@ -470,28 +473,15 @@ def test_insert_refuses_a_vector_left_at_a_pivot(monkeypatch):
 
 def eliminate_entrywise(prime, v, row, c):
     """Elimination one entry at a time: the reference `MatrixSpace._eliminate` must match."""
-    get, pop = v.get, v.pop
-    if prime is not None:
-        f = v[c]
-        for cc, rv in row.items():
-            nv = (get(cc, 0) - f * rv) % prime
-            if nv:
-                v[cc] = nv
-            else:
-                pop(cc, None)
-    else:
-        a, b = row[c], v[c]
-        g = gcd(a, b)
-        fa, fb = a // g, b // g
-        if fa != 1:
-            for cc in v:
-                v[cc] *= fa
-        for cc, rv in row.items():
-            nv = get(cc, 0) - fb * rv
-            if nv:
-                v[cc] = nv
-            else:
-                pop(cc, None)
+    f = v[c]
+    for cc, rv in row.items():
+        nv = v.get(cc, 0) - f * rv
+        if prime is not None:
+            nv %= prime
+        if nv:
+            v[cc] = nv
+        else:
+            v.pop(cc, None)
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
@@ -509,8 +499,10 @@ def eliminate_entrywise(prime, v, row, c):
          "rational-scale", "rational-scale-clears"],
 )
 def test_eliminate_matches_the_entrywise_loop(prime, row, v):
-    # GF(p) basis rows have pivot value 1 and values in 1..p-1
-    if prime is not None:
+    # basis rows have pivot value 1 in every field, and values in 1..p-1 over GF(p)
+    if prime is None:
+        row = {c: Fraction(x, row[0]) for c, x in row.items()}
+    else:
         inv = pow(row[0], -1, prime)
         row = {c: x * inv % prime for c, x in row.items()}
         v = {c: x % prime for c, x in v.items()}
@@ -519,6 +511,8 @@ def test_eliminate_matches_the_entrywise_loop(prime, row, v):
     eliminate_entrywise(prime, expected, row, 0)
     assert 0 not in got
     assert got == expected
+    # an integral value is kept as a plain int, never as a Fraction
+    assert all(type(x) is int or x.denominator > 1 for x in got.values())
 
 
 # -- Matrix Market ------------------------------------------------------------

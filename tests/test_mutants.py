@@ -11,9 +11,10 @@ Faults covered here:
   subset bit masks replaced by their complements' masks, and a
   closed-form expansion that starts at g = 1;
 - row reduction, each run in a child process under a timeout: a sign flip
-  in GF(p) elimination, and `MatrixSpace._reduce` skipped.  With the sign
-  flip the leading coordinate never clears, so before the reduction loops
-  were bounded the closure looped forever.  With the reduction skipped,
+  in GF(p) elimination, the same sign flip in rational elimination alone,
+  and `MatrixSpace._reduce` skipped.  With a sign flip the leading
+  coordinate never clears, so before the reduction loops were bounded the
+  closure looped forever.  With the reduction skipped,
   every vector would be accepted and overwrite the basis row at its
   leading coordinate, so the frontier would grow every round;
   `insert_vector` refuses a reduced vector that starts at a pivot instead;
@@ -137,15 +138,19 @@ import sys
 from oddterw import cli
 from oddterw.exactmat import MatrixSpace
 
+FLIP_EXACT = {flip_exact}
 original = MatrixSpace._eliminate
 
 def flipped(self, v, row, c):
-    # GF(p) elimination that adds the pivot row where it should subtract it
-    if self.prime is None:
+    # elimination that adds the pivot row where it should subtract it, over
+    # the rationals or over GF(p), and is correct in the other fields
+    if (self.prime is None) != FLIP_EXACT:
         return original(self, v, row, c)
     f = v[c]
     for cc, rv in row.items():
-        nv = (v.get(cc, 0) + f * rv) % self.prime
+        nv = v.get(cc, 0) + f * rv
+        if self.prime is not None:
+            nv %= self.prime
         if nv:
             v[cc] = nv
         else:
@@ -183,13 +188,17 @@ def verify_in_child(script, checks, tmp_path):
     return proc.returncode, json.loads((tmp_path / "report.json").read_text())
 
 
-def test_gf_p_sign_flip_fails_closure_without_hanging(tmp_path):
-    code, report = verify_in_child(SIGN_FLIP, "closure", tmp_path)
+@pytest.mark.parametrize("flip_exact, field", [(False, "over gf("), (True, "over exact")],
+                         ids=["gf-p", "exact"])
+def test_sign_flip_fails_closure_without_hanging(tmp_path, flip_exact, field):
+    # `verify --m 3` runs the exact field after both primes
+    code, report = verify_in_child(SIGN_FLIP.format(flip_exact=flip_exact), "closure", tmp_path)
     assert code == 1
     failed = report["checks"][0]
     assert failed["name"] == "closure-computation" and failed["status"] == "fail"
-    assert failed["witnesses"][0]["kind"] == "internal"
-    assert "pivot eliminations" in failed["witnesses"][0]["detail"]
+    (witness,) = failed["witnesses"]
+    assert witness["kind"] == "internal"
+    assert "pivot eliminations" in witness["detail"] and field in witness["detail"]
     assert [c["status"] for c in report["checks"][1:]] == ["skipped"]
 
 

@@ -63,7 +63,7 @@ def test_regularity_count_and_diameter(graph_factory, m):
 def test_base_vertex_first():
     g = OddGraph(3)
     assert g.vertices[0] == (0, 1, 2) == g.x
-    assert g.vertex_index((2, 1, 0)) == 0
+    assert g.vertices.index((0, 1, 2)) == 0
 
 
 def test_class_sizes_by_intersection_count(graph_factory):

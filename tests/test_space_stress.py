@@ -9,7 +9,6 @@ representation promises.
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -75,15 +74,13 @@ def check_structural_invariants(space):
         assert min(row) == piv, "pivot is the leading coordinate"
         foreign = (set(row) & pivots) - {piv}
         assert not foreign, f"row at {piv} contains foreign pivots {foreign}"
+        assert row[piv] == 1 and type(row[piv]) is int, "pivot value 1 in every field"
         if space.prime is not None:
-            assert row[piv] == 1
             assert all(0 < v < space.prime for v in row.values())
         else:
-            assert row[piv] > 0
-            content = 0
-            for v in row.values():
-                content = gcd(content, v)
-            assert content == 1, "exact rows are primitive"
+            assert all(v and (type(v) is int or v.denominator > 1) for v in row.values()), (
+                "exact values are nonzero, and plain ints when integral"
+            )
 
 
 @pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], DEFAULT_PRIMES[1], None])
@@ -128,6 +125,28 @@ def test_space_against_fraction_oracle(prime, seed):
             {(r, c): rng.randint(-6, 6) for r in range(nrows) for c in range(ncols) if rng.random() < 0.4},
         ).vectorize()
         assert space.contains_vector(probe) == oracle.contains(dense_of(probe, length))
+
+
+def modulo(x, p):
+    """The rational x in GF(p)."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rational_basis_modulo_p_is_the_gf_p_basis(seed):
+    # one echelon form in every field: the rational basis read mod p is the
+    # GF(p) basis, pivot for pivot and value for value
+    rng = random.Random(seed)
+    p = DEFAULT_PRIMES[0]
+    length = rng.randint(8, 12)
+    exact, modular = MatrixSpace(prime=None), MatrixSpace(prime=p)
+    for _ in range(rng.randint(3, 6)):
+        vec = {c: rng.randint(-9, 9) for c in range(length) if rng.random() < 0.6}
+        exact.insert_vector(vec)
+        modular.insert_vector(vec)
+    read_mod_p = [(piv, {c: modulo(x, p) for c, x in row.items()}) for piv, row in exact.iter_basis()]
+    assert read_mod_p == list(modular.iter_basis())
 
 
 def test_exact_mode_handles_content_growth():

@@ -205,6 +205,14 @@ def test_closure_matches_block_matrix_reference(graph_factory, m, prime):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_exact_closure_basis_is_the_gf_p_basis_in_plain_ints(closure_factory, m):
+    exact = list(closure_factory(m, None).space.iter_basis())
+    assert exact == list(closure_factory(m, DEFAULT_PRIMES[0]).space.iter_basis())
+    # Fraction(1) == 1, so only the type shows a rational value left unconverted
+    assert {type(x) for _, row in exact for x in row.values()} == {int}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
 def test_closure_basis_rows_are_disjoint_zero_one_blocks(graph_factory, closure_factory, m, prime):
     # the shape elimination is fastest on: a candidate cancels whole 0/1 rows
