@@ -22,7 +22,6 @@ from .exactmat import (
 from .intersection import (
     HSpec,
     decompose_product,
-    disjoint_product_expansion,
     intersection_matrix,
     product_expansion,
     product_expansion_term,
@@ -34,7 +33,6 @@ from .terwilliger import (
     BlockGenerator,
     ClosureResult,
     block_generators,
-    block_generators_by_parity,
     closure,
     dimension_formula,
     generator_span,

@@ -132,9 +132,9 @@ def _check_products(config: RunConfig) -> CheckResult:
     return CheckResult.from_witnesses("products", witnesses, params={"ground_sizes": vs})
 
 
-def _check_dimension(config: RunConfig) -> CheckResult:
+def _check_dimension() -> CheckResult:
     witnesses = []
-    for m in sorted(set(range(1, DIMENSION_IDENTITY_MAX + 1)) | {config.m}):
+    for m in range(1, DIMENSION_IDENTITY_MAX + 1):
         try:
             dimension_formula(m)
         except OddTerwError as exc:
@@ -142,7 +142,7 @@ def _check_dimension(config: RunConfig) -> CheckResult:
     return CheckResult.from_witnesses(
         "dimension",
         witnesses,
-        params={"checked_up_to": max(DIMENSION_IDENTITY_MAX, config.m)},
+        params={"checked_up_to": DIMENSION_IDENTITY_MAX},
     )
 
 
@@ -243,7 +243,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     if config.needs_closure:
         checks += _closure_checks(config, graph)
     if "dimension" in config.checks:
-        checks.append(_timed(_check_dimension, config))
+        checks.append(_timed(_check_dimension))
 
     field_desc = "+".join(field_name(p) for p in config.fields)
     return VerificationReport(m=config.m, field=field_desc, checks=checks)
@@ -269,15 +269,19 @@ def cmd_build(m: int, out_dir: Path) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    # an --out that cannot be made a directory is refused before any check runs
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     report = run_verify(config)
-    if config.out_dir is not None:
-        try:
-            config.out_dir.mkdir(parents=True, exist_ok=True)
-            with open(config.out_dir / "report.json", "w", encoding="ascii") as fh:
-                fh.write(report.to_json() + "\n")
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+    try:
+        with open(config.out_dir / "report.json", "w", encoding="ascii") as fh:
+            fh.write(report.to_json() + "\n")
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2
     print(report.to_json() if config.fmt == "json" else report.render_text())
     return 0 if report.all_passed else 1
 

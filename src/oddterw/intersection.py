@@ -5,6 +5,9 @@ l is written H(i, j, l, v) throughout.  Products of two such matrices over
 the same ground set decompose in the family {H(i, k, g, v)}, whose members
 have pairwise disjoint supports; both the closed-form coefficients and an
 entry-reading decomposition are provided so each can check the other.
+`product_expansion` is the one closed form, for every s; the paper's
+separate s = 0 (disjointness) formula lives in the tests, checked
+against it.
 
 `product_formula_failures` is the `products` check.  For every admissible
 pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
@@ -114,20 +117,6 @@ def product_expansion(i: int, j: int, k: int, l: int, s: int, v: int) -> dict[in
     return out
 
 
-def disjoint_product_expansion(i: int, j: int, k: int, l: int, v: int) -> dict[int, int]:
-    """Coefficients for multiplying H(i,j,l,v) by the disjointness matrix H(j,k,0,v).
-
-    Specialization of product_expansion to s = 0; only nonzero coefficients
-    appear in the returned map.
-    """
-    out = {}
-    for g in range(max(0, i + j + k - l - v), min(i - l, k) + 1):
-        c = binomial(i - g, l) * binomial(v + g - i - k, j - l)
-        if c:
-            out[g] = c
-    return out
-
-
 @lru_cache(maxsize=None)
 def _subset_masks(v: int, size: int) -> list[int]:
     """Bit masks of the size-subsets of a v-set, in colex order: element e is bit e."""
@@ -180,12 +169,11 @@ def product_formula_failures(v: int) -> list[dict]:
     """Check every admissible product of two intersection matrices over a v-set.
 
     For each (i, j, k) and each feasible (l, s), the direct product is
-    decomposed by entry reading and compared with the closed-form expansion;
-    the s = 0 specialization is compared against the general formula once
-    per (i, j, k, l) as well.  The loops run over (j, k, s) outside and
-    (i, l) inside, so each right factor H(j, k, s, v) serves a run of
-    consecutive products and `IntMatrix.__matmul__` packs it once.
-    Returns machine-readable witnesses for any failures, in that order.
+    decomposed by entry reading and compared with `product_expansion`.  The
+    loops run over (j, k, s) outside and (i, l) inside, so each right factor
+    H(j, k, s, v) serves a run of consecutive products and
+    `IntMatrix.__matmul__` packs it once.  Returns machine-readable
+    witnesses for any failures, in loop order.
     """
     failures = []
     for j in range(v + 1):
@@ -216,17 +204,4 @@ def product_formula_failures(v: int) -> list[dict]:
                                     "decomposition": decomposition,
                                 }
                             )
-            for i in range(v + 1):
-                for l in intersection_range(i, j, v):
-                    disjoint = disjoint_product_expansion(i, j, k, l, v)
-                    general = product_expansion(i, j, k, l, 0, v)
-                    if disjoint != general:
-                        failures.append(
-                            {
-                                "kind": "disjoint_specialization_mismatch",
-                                "v": v, "i": i, "j": j, "k": k, "l": l,
-                                "disjoint": disjoint,
-                                "general": general,
-                            }
-                        )
     return failures

@@ -212,6 +212,20 @@ def test_verify_rejects_a_prime_above_64_bits(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_refuses_an_out_naming_a_file_before_any_check(tmp_path, monkeypatch, capsys):
+    import oddterw.cli as cli_module
+
+    runs = []
+    monkeypatch.setattr(cli_module, "run_verify", runs.append)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    argv = ["verify", "--m", "3", "--checks", "products", "--sweep-max", "8", "--out", str(blocker)]
+    assert main(argv) == 2
+    assert "error: cannot write report" in capsys.readouterr().err
+    assert runs == []
+    assert blocker.read_text() == "a file, not a directory"
+
+
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
     import oddterw.cli as cli_module
 

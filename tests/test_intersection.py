@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from oddterw import (
@@ -7,7 +9,6 @@ from oddterw import (
     SubsetIndex,
     binomial,
     decompose_product,
-    disjoint_product_expansion,
     intersection_matrix,
     intersection_range,
     product_expansion,
@@ -15,6 +16,8 @@ from oddterw import (
     product_formula_failures,
 )
 from oddterw import exactmat
+from oddterw.cli import SWEEP_MAX_LARGE
+from paper_readings import disjoint_product_expansion
 
 
 def all_ones(nrows, ncols):
@@ -139,6 +142,15 @@ def test_disjoint_expansion_empty_when_l_exceeds_i():
 
 def test_disjoint_expansion_matches_general_at_example():
     assert disjoint_product_expansion(2, 1, 2, 1, 5) == product_expansion(2, 1, 2, 1, 0, 5)
+
+
+def test_disjoint_expansion_is_the_general_formula_at_s_0():
+    # every (i, j, k, l) at every ground size a `products` sweep can reach
+    for v in range(SWEEP_MAX_LARGE + 1):
+        for i, j, k in itertools.product(range(v + 1), repeat=3):
+            for l in intersection_range(i, j, v):
+                general = product_expansion(i, j, k, l, 0, v)
+                assert disjoint_product_expansion(i, j, k, l, v) == general, (i, j, k, l, v)
 
 
 def test_squared_disjointness_matrix_against_expansion():

@@ -116,7 +116,7 @@ def verify_products(tmp_path, capsys):
         (intersection, "_subset_masks", complement_masks,
          {"product_not_class_constant"}, ""),
         (intersection, "product_expansion", expansion_from_g_1,
-         {"expansion_mismatch", "disjoint_specialization_mismatch"}, ""),
+         {"expansion_mismatch"}, ""),
     ],
     ids=["matmul-drops-an-entry", "packing-reused-by-shape", "complement-masks", "expansion-from-g-1"],
 )

@@ -6,8 +6,10 @@ escapes those wrappers, and the benchmark's traced run then fails its
 self-check.  Each workload of `perfbench/run.py` must also still call
 every layer it lists as exercised, and its report must hold exactly the
 entry names the benchmark expects.  These tests run each workload's
-command at m = 2, under the tracer where they read what it saw; nothing
-under `perfbench/` is changed or written.
+command at m = 2, under the tracer where they read what it saw.  One test
+runs each workload's command once at full size under the tracer and reads
+the exact counts the benchmark pins.  Nothing under `perfbench/` is changed
+or written.
 """
 
 import functools
@@ -31,8 +33,8 @@ def tracer_namespace() -> dict:
     return runpy.run_path(str(TRACER), run_name="perfbench_tracer")
 
 
-def traced_names(argv, out_dir: Path) -> set[str]:
-    """Every name the tracer recorded a call to while running `argv`."""
+def traced_run(argv, out_dir: Path) -> dict:
+    """What the tracer recorded while running `argv`: its spans, counts and matrix cache."""
     # the child imports the same sources as this process, installed or not
     path = [str(Path(oddterw.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -45,7 +47,12 @@ def traced_names(argv, out_dir: Path) -> set[str]:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(spans.read_text())
+    return json.loads(spans.read_text())
+
+
+def traced_names(argv, out_dir: Path) -> set[str]:
+    """Every name the tracer recorded a call to while running `argv`."""
+    doc = traced_run(argv, out_dir)
     return {s[tracer_namespace()["NAME"]] for s in doc["spans"]} | {k for k, v in doc["counts"].items() if v}
 
 
@@ -101,3 +108,16 @@ def test_each_benchmark_workload_reports_the_checks_it_expects(tmp_path):
         assert len(names) == len(set(names)), f"{name}: {names}"
         assert set(names) == workload.expected_checks(expected_primes), name
         assert report["field"] == "+".join(workload.field_labels(expected_primes)), name
+
+
+def test_each_benchmark_workload_reads_its_pinned_counts_at_full_size(tmp_path):
+    # the workload's own command, as the benchmark's traced runs make it; a
+    # moved pin would otherwise show only in the benchmark's self-check
+    bench = bench_namespace()
+    primes = bench["DEFAULT_PRIMES"]
+    for name, workload in bench["WORKLOADS"].items():
+        (tmp_path / name).mkdir()
+        doc = traced_run(workload.argv(primes), tmp_path / name)
+        field_of = {workload.prime_of(f, primes): f for f in workload.fields}.__getitem__
+        metrics = tracer_namespace()["summarize"](doc, field_of)
+        assert {key: metrics.get(key) for key, _ in workload.counts} == dict(workload.counts), name
