@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,6 +120,9 @@ class RunConfig:
 def _check_products(config: RunConfig) -> CheckResult:
     vs = sorted(set(range(config.sweep_max + 1)) | {config.m, config.m + 1})
     if config.jobs > 1:
+        # imported here: a serial run needs neither the pool nor its modules
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts every worker up front, and one ground size is one task
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(vs))) as pool:
             chunks = pool.map(product_formula_failures, vs)

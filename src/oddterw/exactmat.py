@@ -16,24 +16,32 @@ that same object at that width reuses the rows, so a caller that runs its
 products with one right factor in a row (as the `products` sweep does)
 packs it once.  Each matrix computes its max |entry| once and keeps it.
 
-`MatrixSpace` reduces each vector in one pass: it takes the pivots the
-vector meets and eliminates each of them once, in ascending order, because
-the stored basis is fully reduced.  One elimination pops the pivot row's
-whole support out of the vector with one `map`, compares it with the
-multiple of the row as a list, and puts back only the nonzero
-differences.  The multiple of a row whose values are all equal, as in
-every basis row of T, is one product.  A dependent candidate built from
-T's disjoint 0/1 blocks cancels each row it meets exactly, so nothing
-goes back.  The input is copied once on the way in (with `dict` when its
-values are already in range) and never modified.  Every stored row, in
-every field, has pivot value 1: a new row is scaled by the inverse of its
-pivot value into a fresh dict.  Over the rationals an integral value is
-kept as a plain `int`, so T's 0/1 rows compare and multiply as ints.  The
-reduction stops with `EliminationDivergenceError` after dim + 1 pivot
-eliminations of one vector, which correct arithmetic never needs, and
-`insert_vector` raises it too when a reduced vector still starts at a
-pivot, so a broken field kernel fails instead of looping forever or
-overwriting a basis row.
+`MatrixSpace` stores each basis row packed, as (coords, values): the
+row's coordinates in ascending order in an `array("q")`, so coords[0] is
+the pivot, and one shared value when every entry is equal, as in every
+basis row of T, or else a list parallel to coords.  A row of T costs 8
+bytes per entry this way.  Vectors in flight are {coordinate: value}
+dicts, and `iter_basis` hands out a fresh dict per row.  The span reduces
+each vector in one pass: it takes the pivots the vector meets and
+eliminates each of them once, in ascending order, because the stored
+basis is fully reduced.  One elimination pops the pivot row's coords out
+of the vector with one `map`, compares them with the multiple of the row
+as a list, and puts back only the nonzero differences.  The multiple of a
+row with one shared value is one product.  A dependent candidate built
+from T's disjoint 0/1 blocks cancels each row it meets exactly, so
+nothing goes back.  The input is copied once on the way in (with `dict`
+when its values are already in range) and never modified.  Every stored
+row, in every field, has pivot value 1: a new row's coordinates are sorted
+once and its values scaled by the inverse of its pivot value, one product
+when they are equal.  An older row is unpacked only when `bisect` finds
+the new pivot among its coords.  Over the rationals an integral value is
+kept as a plain `int`, so T's 0/1 rows compare and multiply as ints.  A
+coordinate outside the signed 64-bit range of an `array("q")` is refused
+with `ParameterError`.  The reduction stops with
+`EliminationDivergenceError` after dim + 1 pivot eliminations of one
+vector, which correct arithmetic never needs, and `insert_vector` raises
+it too when a reduced vector still starts at a pivot, so a broken field
+kernel fails instead of looping forever or overwriting a basis row.
 
 IntMatrix values are immutable after construction and safe to share between
 threads; the cached max |entry| and the packing slot are each written whole,
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import chain, compress, repeat
 from pathlib import Path
 
@@ -298,15 +307,34 @@ def _stored(x, p: int | None):
     return x.numerator if x.denominator == 1 else x
 
 
-def _scaled(values: list, f, p: int | None) -> list:
-    """f times each of `values`, as stored field values.
+def _scaled(values, f, p: int | None):
+    """f times the values of a packed row, as stored field values, packed the same way.
 
-    When all values are equal, as in every basis row of T, this is one product.
+    One shared value, as in every basis row of T, takes one product.
     """
+    if type(values) is list:
+        return [_stored(f * x, p) for x in values]
+    return _stored(f * values, p)
+
+
+def _packed(row: dict) -> tuple:
+    """`row` as (coords, values): its coordinates ascending in an `array("q")`,
+    and its one value when every entry is equal, else its values in that order."""
+    coords = sorted(row)
+    values = list(map(row.__getitem__, coords))
     first = values[0]
-    if values.count(first) == len(values):
-        return [_stored(f * first, p)] * len(values)
-    return [_stored(f * x, p) for x in values]
+    try:
+        coords = array("q", coords)
+    except OverflowError:
+        bad = coords[0] if coords[0] < -(1 << 63) else coords[-1]
+        raise ParameterError(f"coordinate {bad} is outside the signed 64-bit range") from None
+    return coords, first if values.count(first) == len(values) else values
+
+
+def _unpacked(row: tuple) -> dict:
+    """A packed row as a fresh {coordinate: value} dict."""
+    coords, values = row
+    return dict(zip(coords, values if type(values) is list else repeat(values)))
 
 
 def field_name(prime: int | None) -> str:
@@ -319,16 +347,18 @@ class MatrixSpace:
 
     A vector is a {coordinate: value} map; matrices enter row-major, as
     `IntMatrix.vectorize` or `OddGraph.embed_vector` lays them out.  The
-    basis is held as sparse rows in reduced row-echelon form with pivot
-    value 1, over GF(p) or, with prime=None, over the rationals, where a
-    value is an int when integral and a `fractions.Fraction` otherwise.
+    basis is held in reduced row-echelon form with pivot value 1, over
+    GF(p) or, with prime=None, over the rationals, where a value is an int
+    when integral and a `fractions.Fraction` otherwise.  Each row is stored
+    packed, as (coords, values) from `_packed`; `iter_basis` reads them
+    back as dicts.  Coordinates must fit in a signed 64-bit integer.
     """
 
     def __init__(self, *, prime: int | None = DEFAULT_PRIME):
         if prime is not None and not is_prime(prime):
             raise ParameterError(f"{prime} is not prime")
         self.prime = prime
-        self._rows: dict[int, dict[int, int]] = {}  # pivot coordinate -> row
+        self._rows: dict[int, tuple] = {}  # pivot coordinate -> packed row
 
     @property
     def dim(self) -> int:
@@ -339,9 +369,9 @@ class MatrixSpace:
         return field_name(self.prime)
 
     def iter_basis(self):
-        """Yield (pivot, row) pairs in pivot order.  Rows are internal: do not mutate."""
+        """Yield (pivot, row) pairs in pivot order, each row a fresh {coordinate: value} dict."""
         for piv in sorted(self._rows):
-            yield piv, self._rows[piv]
+            yield piv, _unpacked(self._rows[piv])
 
     def insert_vector(self, vec: dict[int, int]) -> bool:
         """Reduce `vec` against the basis; grow the basis if independent.
@@ -352,22 +382,25 @@ class MatrixSpace:
         self._reduce(v)
         if not v:
             return False
-        piv = min(v)
+        coords, values = _packed(v)
+        piv = coords[0]
         if piv in self._rows:
             # a reduced vector meets no pivot; storing it would overwrite a basis row
             raise EliminationDivergenceError(
                 f"reduction left pivot {piv} in a vector over {self.field_name}"
             )
-        # Scale to pivot value 1 into a fresh dict, which drops the slack the
-        # eliminations' pops left in `v`.
-        v = dict(zip(v, _scaled(list(v.values()), self._inverse(v[piv]), self.prime)))
+        new = coords, _scaled(values, self._inverse(v[piv]), self.prime)
         # Keep the basis fully reduced: clear the new pivot coordinate from
-        # every existing row.  `v` carries no other pivot coordinates, so
-        # existing pivots are untouched.
-        for row in self._rows.values():
-            if piv in row:
-                self._eliminate(row, v, piv)
-        self._rows[piv] = v
+        # every existing row that holds it.  `new` carries no other pivot
+        # coordinates, so existing pivots are untouched.
+        rows = self._rows
+        for key, (held, _) in rows.items():
+            i = bisect_left(held, piv)
+            if i < len(held) and held[i] == piv:
+                row = _unpacked(rows[key])
+                self._eliminate(row, new, piv)
+                rows[key] = _packed(row)
+        rows[piv] = new
         return True
 
     def contains_vector(self, vec: dict[int, int]) -> bool:
@@ -422,18 +455,21 @@ class MatrixSpace:
                 fired += 1
             hits = v.keys() & rows.keys()
 
-    def _eliminate(self, v: dict, row: dict, c: int):
-        # Subtract v[c] times `row`, whose pivot value is 1, clearing
-        # coordinate c of `v`.  The row's support is popped out of `v` in
-        # one pass and compared with the multiple whole; only nonzero
+    def _eliminate(self, v: dict, row: tuple, c: int):
+        # Subtract v[c] times the packed `row`, whose pivot value is 1,
+        # clearing coordinate c of `v`.  The row's coords are popped out of
+        # `v` in one pass and compared with the multiple whole; only nonzero
         # differences are put back.
         p = self.prime
-        want = _scaled(list(row.values()), v[c], p)
-        old = list(map(v.pop, row, repeat(0)))
+        coords, values = row
+        want = _scaled(values, v[c], p)
+        if type(want) is not list:
+            want = [want] * len(coords)
+        old = list(map(v.pop, coords, repeat(0)))
         if old == want:  # the row's support cancels exactly
             return
         new = [_stored(x - w, p) for x, w in zip(old, want)]
-        v.update(compress(zip(row, new), new))
+        v.update(compress(zip(coords, new), new))
 
     def _inverse(self, x):
         """1 / x as a stored field value."""

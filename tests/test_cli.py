@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import os
@@ -532,8 +533,6 @@ def test_each_per_field_verifier_runs_once_per_field(monkeypatch, verifier):
 @pytest.mark.parametrize("jobs,workers", [(2, 2), (100_000, 5)], ids=["below", "above"])
 def test_products_pool_has_at_most_one_worker_per_ground_size(tmp_path, monkeypatch, jobs, workers):
     # the real pool starts every worker up front: never run a large --jobs for real
-    import oddterw.cli as cli_module
-
     seen = []
 
     class SerialPool:
@@ -549,7 +548,8 @@ def test_products_pool_has_at_most_one_worker_per_ground_size(tmp_path, monkeypa
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
+    # `_check_products` imports the pool only when --jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     argv = ["verify", "--m", "2", "--checks", "products", "--sweep-max", "4", "--jobs", str(jobs)]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())

@@ -471,6 +471,18 @@ def test_insert_refuses_a_vector_left_at_a_pivot(monkeypatch):
     assert [(piv, dict(row)) for piv, row in space.iter_basis()] == [(0, {0: 1, 3: 1})]
 
 
+@pytest.mark.parametrize("coordinate", [2**63, -(2**63) - 1, 10**30])
+def test_space_refuses_a_coordinate_outside_64_bits(coordinate):
+    space = MatrixSpace()
+    space.insert_vector({0: 1, 5: 1})
+    with pytest.raises(ParameterError, match=f"coordinate {coordinate} is outside the signed 64-bit"):
+        space.insert_vector({1: 1, 2: 3, coordinate: 1})
+    # nothing was stored, and the extremes that fit are accepted
+    assert [piv for piv, _ in space.iter_basis()] == [0]
+    assert space.insert_vector({-(2**63): 1, 2**63 - 1: 2})
+    assert list(space.iter_basis())[0] == (-(2**63), {-(2**63): 1, 2**63 - 1: 2})
+
+
 def eliminate_entrywise(prime, v, row, c):
     """Elimination one entry at a time: the reference `MatrixSpace._eliminate` must match."""
     f = v[c]
@@ -507,7 +519,7 @@ def test_eliminate_matches_the_entrywise_loop(prime, row, v):
         row = {c: x * inv % prime for c, x in row.items()}
         v = {c: x % prime for c, x in v.items()}
     got, expected = dict(v), dict(v)
-    MatrixSpace(prime=prime)._eliminate(got, row, 0)
+    MatrixSpace(prime=prime)._eliminate(got, exactmat._packed(row), 0)
     eliminate_entrywise(prime, expected, row, 0)
     assert 0 not in got
     assert got == expected

@@ -140,10 +140,6 @@ def test_disjoint_expansion_empty_when_l_exceeds_i():
     assert disjoint_product_expansion(2, 3, 2, 3, 7) == {}
 
 
-def test_disjoint_expansion_matches_general_at_example():
-    assert disjoint_product_expansion(2, 1, 2, 1, 5) == product_expansion(2, 1, 2, 1, 0, 5)
-
-
 def test_disjoint_expansion_is_the_general_formula_at_s_0():
     # every (i, j, k, l) at every ground size a `products` sweep can reach
     for v in range(SWEEP_MAX_LARGE + 1):

@@ -136,7 +136,7 @@ def test_sweep_passes_without_a_fault(tmp_path, capsys):
 SIGN_FLIP = """
 import sys
 from oddterw import cli
-from oddterw.exactmat import MatrixSpace
+from oddterw.exactmat import MatrixSpace, _unpacked as unpacked
 
 FLIP_EXACT = {flip_exact}
 original = MatrixSpace._eliminate
@@ -147,7 +147,7 @@ def flipped(self, v, row, c):
     if (self.prime is None) != FLIP_EXACT:
         return original(self, v, row, c)
     f = v[c]
-    for cc, rv in row.items():
+    for cc, rv in unpacked(row).items():
         nv = v.get(cc, 0) + f * rv
         if self.prime is not None:
             nv %= self.prime
@@ -289,8 +289,9 @@ def accepts_everything(space, vec):
 
 
 def eliminate_dropping_differences(space, v, row, c):
-    # pops the pivot row's support out of `v` and puts none of the differences back
-    for cc in row:
+    # pops the pivot row's coords out of `v` and puts none of the differences back
+    coords, _ = row
+    for cc in coords:
         v.pop(cc, None)
 
 

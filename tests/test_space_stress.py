@@ -7,12 +7,14 @@ randomized workloads, together with the structural invariants the sparse
 representation promises.
 """
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from oddterw import DEFAULT_PRIMES, IntMatrix, MatrixSpace
+from oddterw import DEFAULT_PRIMES, IntMatrix, MatrixSpace, OddGraph, closure, exactmat
 
 
 class FractionSpanOracle:
@@ -68,7 +70,26 @@ def combination(rng, pool, k, lo, hi):
 
 
 def check_structural_invariants(space):
-    pivots = {piv for piv, _ in space.iter_basis()}
+    # the packed rows themselves
+    for piv, (coords, values) in space._rows.items():
+        assert coords.typecode == "q"
+        assert all(a < b for a, b in zip(coords, coords[1:])), "coords strictly ascending"
+        assert coords[0] == piv, "coords[0] is the pivot"
+        if type(values) is list:
+            assert len(values) == len(coords)
+            assert values.count(values[0]) < len(values), "a list only when the row is not uniform"
+            pivot_value = values[0]
+        else:
+            pivot_value = values
+        assert pivot_value == 1 and type(pivot_value) is int, "pivot value 1 in every field"
+    # the dicts iter_basis hands out: fresh, and packing one gives its stored row back
+    basis = list(space.iter_basis())
+    assert [piv for piv, _ in basis] == sorted(space._rows)
+    for piv, row in basis:
+        assert exactmat._packed(row) == space._rows[piv]
+        row.clear()
+    assert all(row for _, row in space.iter_basis())
+    pivots = set(space._rows)
     for piv, row in space.iter_basis():
         assert row, "stored rows are never empty"
         assert min(row) == piv, "pivot is the leading coordinate"
@@ -172,3 +193,28 @@ def test_closure_m2_against_dense_oracle(graph_factory, closure_factory):
     mats = [dense(IntMatrix.identity(10)), dense(g.adjacency())]
     mats += [dense(g.dual_idempotent(d)) for d in range(3)]
     assert dense_algebra_dimension(mats) == 15 == closure_factory(2).dimension
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_closure_rows_each_store_one_shared_value(closure_factory, prime):
+    # every basis row of T is 0/1, so each is stored as coords and the one value 1
+    space = closure_factory(3, prime).space
+    check_structural_invariants(space)
+    assert {values for _, values in space._rows.values()} == {1}
+
+
+def test_closure_basis_holds_at_most_32_bytes_per_entry():
+    # a packed row of T costs 8 bytes per coordinate plus a fixed header;
+    # {coordinate: value} dict rows cost more than 80 bytes per entry
+    graph = OddGraph(4)
+    closure(graph)  # fills the graph's caches, so only the second closure is counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        clo = closure(graph)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    nnz = sum(len(row) for _, row in clo.space.iter_basis())
+    assert nnz == graph.num_vertices**2  # T's basis: disjoint 0/1 blocks covering every entry
+    assert held <= 32 * nnz, f"{held / nnz:.1f} bytes per basis entry"
