@@ -229,21 +229,24 @@ def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
 def run_verify(config: RunConfig) -> VerificationReport:
     """Run the selected checks and return the aggregated report.
 
-    Checks run in CHECK_NAMES order, where the closure checks sit together
-    between `blocks` and `dimension`.  `_closure_checks` runs those one
-    field at a time, with at most one closure alive, so a third field adds
-    time but no peak memory.  A kernel error in a closure becomes a failing
+    The report lists the checks in CHECK_NAMES order, where the closure
+    checks sit together between `blocks` and `dimension`, but the closure
+    checks run first.  `_closure_checks` runs them one field at a time, with
+    at most one closure alive, so a third field adds time but no peak
+    memory; running them before the `products` sweep also keeps the
+    intersection matrices the sweep caches for every ground size out of the
+    closures' peak.  A kernel error in a closure becomes a failing
     `closure-computation` entry instead of propagating, and the checks that
     needed the lost result are reported as skipped.
     """
     graph = OddGraph(config.m) if config.needs_graph else None
+    closure_entries = _closure_checks(config, graph) if config.needs_closure else []
     checks: list[CheckResult] = []
     if "products" in config.checks:
         checks.append(_timed(_check_products, config))
     if "blocks" in config.checks:
         checks.append(_timed(verify_adjacency_blocks, graph))
-    if config.needs_closure:
-        checks += _closure_checks(config, graph)
+    checks += closure_entries
     if "dimension" in config.checks:
         checks.append(_timed(_check_dimension))
 

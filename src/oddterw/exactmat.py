@@ -17,10 +17,12 @@ products with one right factor in a row (as the `products` sweep does)
 packs it once.  Each matrix computes its max |entry| once and keeps it.
 
 `MatrixSpace` stores each basis row packed, as (coords, values): the
-row's coordinates in ascending order in an `array("q")`, so coords[0] is
+row's coordinates in ascending order in a signed `array`, so coords[0] is
 the pivot, and one shared value when every entry is equal, as in every
-basis row of T, or else a list parallel to coords.  A row of T costs 8
-bytes per entry this way.  Vectors in flight are {coordinate: value}
+basis row of T, or else a list parallel to coords.  The array has 4-byte
+items when every coordinate of the row fits, as every ambient coordinate
+below n**2 < 2**31 does, and 8-byte items otherwise, so a row of T costs
+4 bytes per entry.  Vectors in flight are {coordinate: value}
 dicts, and `iter_basis` hands out a fresh dict per row.  The span reduces
 each vector in one pass: it takes the pivots the vector meets and
 eliminates each of them once, in ascending order, because the stored
@@ -36,8 +38,8 @@ once and its values scaled by the inverse of its pivot value, one product
 when they are equal.  An older row is unpacked only when `bisect` finds
 the new pivot among its coords.  Over the rationals an integral value is
 kept as a plain `int`, so T's 0/1 rows compare and multiply as ints.  A
-coordinate outside the signed 64-bit range of an `array("q")` is refused
-with `ParameterError`.  The reduction stops with
+coordinate outside the signed 64-bit range is refused with
+`ParameterError`.  The reduction stops with
 `EliminationDivergenceError` after dim + 1 pivot eliminations of one
 vector, which correct arithmetic never needs, and `insert_vector` raises
 it too when a reduced vector still starts at a pivot, so a broken field
@@ -71,6 +73,9 @@ MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 # Signed array typecodes by item size, for reading matmul fields of 8 to 64
 # bits; wider fields are sliced from the bytes one by one.
 _SIGNED_BY_SIZE = {array(t).itemsize: t for t in "bhiq"}
+# Typecodes for a packed basis row's coordinates, narrowest first, each with
+# the bound its values must stay below in absolute value (-bound allowed).
+_COORD_TYPECODES = tuple((_SIGNED_BY_SIZE[size], 1 << (8 * size - 1)) for size in (4, 8))
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -318,16 +323,20 @@ def _scaled(values, f, p: int | None):
 
 
 def _packed(row: dict) -> tuple:
-    """`row` as (coords, values): its coordinates ascending in an `array("q")`,
-    and its one value when every entry is equal, else its values in that order."""
+    """`row` as (coords, values): its coordinates ascending in a signed 4-byte
+    `array` when they all fit, else an 8-byte one, and its one value when
+    every entry is equal, else its values in that order."""
     coords = sorted(row)
     values = list(map(row.__getitem__, coords))
     first = values[0]
-    try:
-        coords = array("q", coords)
-    except OverflowError:
-        bad = coords[0] if coords[0] < -(1 << 63) else coords[-1]
-        raise ParameterError(f"coordinate {bad} is outside the signed 64-bit range") from None
+    lo, hi = coords[0], coords[-1]
+    for typecode, limit in _COORD_TYPECODES:
+        if -limit <= lo and hi < limit:
+            coords = array(typecode, coords)
+            break
+    else:
+        bad = lo if lo < -limit else hi
+        raise ParameterError(f"coordinate {bad} is outside the signed 64-bit range")
     return coords, first if values.count(first) == len(values) else values
 
 
@@ -421,7 +430,8 @@ class MatrixSpace:
             if 0 not in values:
                 return dict(vec)
             return {c: v for c, v in vec.items() if v}
-        if not vec or (min(values) > 0 and max(values) < p):
+        distinct = set(values)  # one pass over the values, where min and max take two
+        if not distinct or (min(distinct) > 0 and max(distinct) < p):
             return dict(vec)
         out = {}
         for c, v in vec.items():

@@ -12,19 +12,25 @@ against it.
 `product_formula_failures` is the `products` check.  For every admissible
 pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
 `IntMatrix.__matmul__`, then `decompose_product` reads every entry of the
-product back: the class of entry (r, c) is the popcount of the AND of the
-bit masks of subsets r and c, taken from `SubsetIndex.subsets()` and not
-from the intersection matrices, so a wrong `intersection_matrix` cannot
-vouch for itself.  The loops take (j, k, s) outside and (i, l) inside:
-each right factor H(j, k, s, v) then serves a run of consecutive
-products, and the kernel packs it once for the whole run.
+product back, one row at a time in class order: the class of entry (r, c)
+is the popcount of the AND of the bit masks of subsets r and c, taken from
+`SubsetIndex.subsets()` and not from the intersection matrices, so a wrong
+`intersection_matrix` cannot vouch for itself.  The column order of each
+(v, i, k) is computed once and kept, for one ground size at a time.  The
+loops take (j, k, s) outside and (i, l) inside: each right factor
+H(j, k, s, v) then serves a run of consecutive products, and the kernel
+packs it once for the whole run.
 
-All functions here are pure and safe for unsynchronized concurrent use.
+All functions here are safe for unsynchronized concurrent use.  The one
+module-level cache, the class tables of the last ground size, only gains
+tables or is replaced whole, so concurrent callers at worst build a table
+twice.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,6 +129,53 @@ def _subset_masks(v: int, size: int) -> list[int]:
     return [sum(1 << e for e in s) for s in SubsetIndex(v, size).subsets()]
 
 
+# The class tables of one ground size: (v, {(i, k): (row masks, column masks,
+# order, segments)}).  A table for another ground size replaces the pair
+# whole, so the sweep holds one ground size's tables at a time.
+_class_tables: tuple = (None, {})
+
+
+def _class_table(v: int, i: int, k: int) -> tuple:
+    """(order, segments) for reading a C(v, i) x C(v, k) product class by class.
+
+    `order` holds, for each row subset r in turn, the C(v, k) column indices
+    sorted by class, the class of (r, c) being the popcount of the AND of the
+    masks of subsets r and c from `_subset_masks`, and ascending within a
+    class.  `segments` lists (g, start, stop) for each class g in
+    `intersection_range(i, k, v)`: where its C(i, g) * C(v - i, k - g)
+    columns sit in every row's slice of `order`.  Raises ParameterError when
+    a row's class sizes differ from these, as they do for any class outside
+    that range.  A table is kept while its mask lists are the same objects.
+    """
+    global _class_tables
+    row_masks, col_masks = _subset_masks(v, i), _subset_masks(v, k)
+    held_v, tables = _class_tables
+    if held_v != v:
+        tables = {}
+        _class_tables = (v, tables)
+    held = tables.get((i, k))
+    if held is not None and held[0] is row_masks and held[1] is col_masks:
+        return held[2], held[3]
+    segments, profile = [], []
+    for g in intersection_range(i, k, v):
+        size = binomial(i, g) * binomial(v - i, k - g)
+        segments.append((g, len(profile), len(profile) + size))
+        profile += [g] * size
+    ncols = len(col_masks)
+    order = array("B" if ncols <= 256 else "L")
+    for r, row_mask in enumerate(row_masks):
+        classes = [(row_mask & col_mask).bit_count() for col_mask in col_masks]
+        if sorted(classes) != profile:
+            g = next(g for g in range(v + 1) if classes.count(g) != profile.count(g))
+            raise ParameterError(
+                f"row {r} meets {classes.count(g)} columns in {g} points, not "
+                f"{profile.count(g)}, for subset sizes ({i}, {k}) of a {v}-set"
+            )
+        order.extend(sorted(range(ncols), key=classes.__getitem__))
+    tables[(i, k)] = (row_masks, col_masks, order, segments)
+    return order, segments
+
+
 def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, int]:
     """Write `product` in the disjoint-support family {H(i,k,g,v)} by reading entries.
 
@@ -130,39 +183,50 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     coefficient of H(i,k,g,v) is just the entry value on any pair meeting in
     g points.  The class of an entry (r, c) is the popcount of the AND of
     the bit masks of row subset r and column subset c; the masks come from
-    the subsets themselves, not from the intersection matrices.  Raises
+    the subsets themselves, not from the intersection matrices, through
+    `_class_table`.  Each row is read once, in class order, and compared as
+    one list with the row every member of the span has there: each class
+    filled with the value of its first entry in row 0, or empty.  Raises
     ParameterError if `product` is not constant on intersection classes,
     i.e. not in the span of the family at all.
     """
-    if product.shape != (binomial(v, i), binomial(v, k)):
+    nrows, ncols = binomial(v, i), binomial(v, k)
+    if product.shape != (nrows, ncols):
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
-    row_masks = _subset_masks(v, i)
-    col_masks = _subset_masks(v, k)
-    # indexed by class g, which is at most v; `seen` keeps first-seen order
-    values: list[int | None] = [None] * (v + 1)
-    counts = [0] * (v + 1)
-    seen: list[int] = []
-    rows = product._rows
-    for r in sorted(rows):
-        row_mask = row_masks[r]
-        for c, val in rows[r].items():
-            g = (row_mask & col_masks[c]).bit_count()
-            held = values[g]
-            if held != val:
-                if held is not None:
-                    raise ParameterError(
-                        f"not constant on intersection classes: class {g} holds both {held} and {val}"
-                    )
-                values[g] = val
-                seen.append(g)
-            counts[g] += 1
-    for g in seen:
-        # Every pair in class g must carry the value, otherwise part of the
-        # class is zero and the matrix is outside the span.
-        class_size = binomial(v, i) * binomial(i, g) * binomial(v - i, k - g)
-        if counts[g] != class_size:
-            raise ParameterError(f"class {g} only partially covered ({counts[g]} of {class_size})")
-    return {g: values[g] for g in seen}
+    order, segments = _class_table(v, i, k)
+    rows, empty = product._rows, {}
+    first = list(map(rows.get(0, empty).get, order[:ncols]))
+    values = [first[start] for _, start, _ in segments]
+    expected = []
+    for (_, start, stop), value in zip(segments, values):
+        expected += [value] * (stop - start)
+    for r in range(nrows):
+        got = list(map(rows.get(r, empty).get, order[r * ncols : (r + 1) * ncols]))
+        if got != expected:
+            raise _class_fault(got, segments, values, r)
+    return {g: value for (g, _, _), value in zip(segments, values) if value is not None}
+
+
+def _class_fault(got: list, segments: list, values: list, r: int) -> ParameterError:
+    """The error for row r, read in class order as `got`, where it differs from row 0."""
+    g, start, stop, want = next(
+        (g, start, stop, want)
+        for (g, start, stop), want in zip(segments, values)
+        if got[start:stop] != [want] * (stop - start)
+    )
+    found = [x for x in got[start:stop] if x is not None]
+    held = want if want is not None else found[0]
+    other = next((x for x in found if x != held), None)
+    if other is not None:
+        return ParameterError(
+            f"not constant on intersection classes: class {g} holds both {held} and {other}"
+        )
+    # every pair in class g must carry the value, otherwise part of the class
+    # is zero and the matrix is outside the span
+    against = "" if r == 0 else f", against {0 if want is None else stop - start} in row 0"
+    return ParameterError(
+        f"class {g} only partially covered in row {r} ({len(found)} of {stop - start}{against})"
+    )
 
 
 def product_formula_failures(v: int) -> list[dict]:
@@ -182,10 +246,13 @@ def product_formula_failures(v: int) -> list[dict]:
                 right = intersection_matrix(j, k, s, v)
                 for i in range(v + 1):
                     for l in intersection_range(i, j, v):
-                        direct = intersection_matrix(i, j, l, v) @ right
                         expansion = product_expansion(i, j, k, l, s, v)
                         try:
-                            decomposition = decompose_product(direct, i, k, v)
+                            # the product is not bound to a name, so it is
+                            # freed before the next one is computed
+                            decomposition = decompose_product(
+                                intersection_matrix(i, j, l, v) @ right, i, k, v
+                            )
                         except ParameterError as exc:
                             failures.append(
                                 {

@@ -1,18 +1,23 @@
-"""Second transcriptions of two of the paper's formulas, kept only as test oracles.
+"""Second readings of the paper, kept only as test oracles.
 
 The library states each fact once: the generator family by one rule over
-part sizes (`block_generators`), and products of intersection matrices by
-one closed form (`product_expansion`).  The paper states both a second way,
-transcribed here so the tests can hold the library's one reading against it:
+part sizes (`block_generators`), products of intersection matrices by one
+closed form (`product_expansion`), and a product's coefficients in the
+family {H(i, k, g, v)} by one class-ordered read per row
+(`decompose_product`).  Each is stated a second way here, so the tests can
+hold the library's one reading against it:
 
 * `block_generators_by_parity` lists the basis case by case on the
   parities of the row and column classes, as the paper does;
 * `disjoint_product_expansion` is the closed form for multiplying by a
   disjointness matrix H(j, k, 0, v), the products Levstein and Maldonado's
-  method for J(n, m) is built on.
+  method for J(n, m) is built on;
+* `decompose_product_entrywise` reads a product one entry at a time, the
+  class of each entry from its two subsets, and counts every class against
+  C(v, i) * C(i, g) * C(v - i, k - g).
 """
 
-from oddterw import BlockGenerator, HSpec, binomial, intersection_range
+from oddterw import BlockGenerator, HSpec, ParameterError, SubsetIndex, binomial, intersection_range
 
 
 def _family(block, left_ij_v, right_ij_v) -> list[BlockGenerator]:
@@ -54,3 +59,25 @@ def disjoint_product_expansion(i: int, j: int, k: int, l: int, v: int) -> dict[i
         if c:
             out[g] = c
     return out
+
+
+def decompose_product_entrywise(product, i: int, k: int, v: int) -> dict[int, int]:
+    """Coefficients c_g with `product` = sum_g c_g * H(i,k,g,v), read entry by entry.
+
+    Raises ParameterError when the product is not constant on intersection
+    classes or covers a class only in part.
+    """
+    if product.shape != (binomial(v, i), binomial(v, k)):
+        raise ParameterError(f"shape {product.shape} does not match ({i}, {k}, {v})")
+    row_sets = [set(y) for y in SubsetIndex(v, i).subsets()]
+    col_sets = [set(z) for z in SubsetIndex(v, k).subsets()]
+    values, counts = {}, {}
+    for r, c, value in product.iter_entries():
+        g = len(row_sets[r] & col_sets[c])
+        if values.setdefault(g, value) != value:
+            raise ParameterError(f"class {g} holds both {values[g]} and {value}")
+        counts[g] = counts.get(g, 0) + 1
+    for g, count in counts.items():
+        if count != binomial(v, i) * binomial(i, g) * binomial(v - i, k - g):
+            raise ParameterError(f"class {g} only partially covered")
+    return values

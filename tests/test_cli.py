@@ -112,6 +112,29 @@ def test_verify_all_checks_m3(tmp_path, capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_verify_runs_the_closures_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # every closure is computed before the `products` sweep and the `blocks`
+    # check start, and the report still lists its entries in CHECK_NAMES order
+    from oddterw import cli
+
+    calls = []
+    for name in ("closure", "product_formula_failures", "verify_adjacency_blocks"):
+        def recording(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    out = tmp_path / "m3all"
+    assert main(["verify", "--m", "3", "--checks", "all", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert calls[:3] == ["closure"] * 3  # three fields at m = 3
+    assert calls[3:] == ["product_formula_failures"] * 8 + ["verify_adjacency_blocks"]
+    report = json.loads((out / "report.json").read_text())
+    pinned = json.loads(Path(__file__).with_name("verify_m3_all_report.json").read_text())
+    timeless = [{k: v for k, v in c.items() if k != "ms"} for c in report["checks"]]
+    assert {**report, "checks": timeless} == pinned
+
+
 @pytest.mark.parametrize("checks, calls", [("all", 1), ("closure,containment", 0)])
 def test_verify_runs_the_adjacency_block_check_only_for_blocks(tmp_path, capsys, monkeypatch, checks, calls):
     # the closure guards its seeds by comparing them with the graph and runs no

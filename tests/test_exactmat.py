@@ -483,6 +483,55 @@ def test_space_refuses_a_coordinate_outside_64_bits(coordinate):
     assert list(space.iter_basis())[0] == (-(2**63), {-(2**63): 1, 2**63 - 1: 2})
 
 
+@pytest.mark.parametrize(
+    "row, itemsize",
+    [
+        ({0: 1, 2**31 - 1: 1}, 4),
+        ({-(2**31): 1, 7: 1}, 4),
+        ({0: 1, 2**31: 1}, 8),
+        ({-(2**31) - 1: 1, 0: 1}, 8),
+        ({-(2**63): 1, 2**63 - 1: 2}, 8),
+    ],
+)
+def test_space_stores_coordinates_in_4_bytes_when_they_fit(row, itemsize):
+    space = MatrixSpace()
+    assert space.insert_vector(row)
+    [(coords, _)] = space._rows.values()
+    assert coords.itemsize == itemsize
+    assert list(space.iter_basis()) == [(min(row), row)]
+    assert space.contains_vector({c: 3 * x for c, x in row.items()})
+
+
+def test_space_reduces_across_coordinate_widths():
+    # a 4-byte row clears the pivot of an 8-byte row, which is then repacked
+    # narrower, and an 8-byte row reduces a vector with 4-byte coordinates
+    space = MatrixSpace()
+    assert space.insert_vector({0: 1, 5: 2, 2**31: 1})
+    assert space.insert_vector({2**31: 1})
+    assert space.insert_vector({-(2**40): 1, 5: 1})
+    assert [(piv, coords.itemsize) for piv, (coords, _) in sorted(space._rows.items())] == [
+        (-(2**40), 8), (0, 4), (2**31, 8),
+    ]
+    assert list(space.iter_basis()) == [
+        (-(2**40), {-(2**40): 1, 5: 1}), (0, {0: 1, 5: 2}), (2**31, {2**31: 1}),
+    ]
+    assert space.contains_vector({0: 1, -(2**40): 2, 5: 4, 2**31: 7})
+    assert not space.contains_vector({5: 1})
+
+
+@pytest.mark.parametrize("value", ["p", -1, "2p+1"])
+def test_gf_p_input_out_of_range_takes_the_reducing_path(value):
+    p = DEFAULT_PRIMES[0]
+    value = {"p": p, "2p+1": 2 * p + 1}.get(value, value)
+    vec = {0: 1, 3: value}
+    reduced = {c: x for c, x in {0: 1, 3: value % p}.items() if x}
+    space = MatrixSpace(prime=p)
+    assert space._normalize_input(vec) == reduced
+    assert vec == {0: 1, 3: value}  # the input is not modified
+    assert space.insert_vector(vec)
+    assert list(space.iter_basis()) == [(0, reduced)]
+
+
 def eliminate_entrywise(prime, v, row, c):
     """Elimination one entry at a time: the reference `MatrixSpace._eliminate` must match."""
     f = v[c]

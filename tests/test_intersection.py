@@ -15,9 +15,9 @@ from oddterw import (
     product_expansion_term,
     product_formula_failures,
 )
-from oddterw import exactmat
+from oddterw import exactmat, intersection
 from oddterw.cli import SWEEP_MAX_LARGE
-from paper_readings import disjoint_product_expansion
+from paper_readings import decompose_product_entrywise, disjoint_product_expansion
 
 
 def all_ones(nrows, ncols):
@@ -160,18 +160,78 @@ def test_squared_disjointness_matrix_against_expansion():
 def test_decompose_product_validates_class_constancy():
     # value differs inside one intersection class
     bad = IntMatrix(binomial(4, 1), binomial(4, 1), {(0, 1): 2, (0, 2): 3})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="class 0 holds both 2 and 3"):
         decompose_product(bad, 1, 1, 4)
     # class only partially covered
     partial = IntMatrix(binomial(4, 1), binomial(4, 1), {(0, 1): 2})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="class 0 only partially covered in row 0"):
         decompose_product(partial, 1, 1, 4)
     with pytest.raises(ParameterError):
         decompose_product(IntMatrix.zeros(3, 3), 1, 1, 4)  # wrong shape
 
 
+def test_decompose_product_reads_classes_from_the_current_masks(monkeypatch):
+    # complement masks move each class g of a product with (i, k) = (1, 2)
+    # at v = 4 to g + 1, leaving class 0 empty and class 2 outside the range,
+    # which the class table refuses; the table of the real masks still serves
+    product = intersection_matrix(1, 2, 1, 4) @ intersection_matrix(2, 2, 2, 4)
+    assert decompose_product(product, 1, 2, 4) == {1: 1}
+    original = intersection._subset_masks
+    complements = lambda v, size: [((1 << v) - 1) ^ mask for mask in original(v, size)]
+    monkeypatch.setattr(intersection, "_subset_masks", complements)
+    with pytest.raises(ParameterError, match="row 0 meets 0 columns in 0 points, not 3"):
+        decompose_product(product, 1, 2, 4)
+    monkeypatch.undo()
+    assert decompose_product(product, 1, 2, 4) == {1: 1}
+
+
 def test_decompose_product_reads_identity():
     assert decompose_product(IntMatrix.identity(4), 1, 1, 4) == {1: 1}
+
+
+def faulty_copies(product):
+    """Copies of `product` with one entry changed, one entry dropped, one stray
+    entry where its first nonzero row is zero, and that row removed."""
+    entries = {(r, c): x for r, c, x in product.iter_entries()}
+    if not entries:
+        return
+    r, c = min(entries)
+    shape = product.shape
+    yield IntMatrix(*shape, {**entries, (r, c): entries[(r, c)] + 1})
+    yield IntMatrix(*shape, {key: x for key, x in entries.items() if key != (r, c)})
+    empty = next((col for col in range(shape[1]) if (r, col) not in entries), None)
+    if empty is not None:
+        yield IntMatrix(*shape, {**entries, (r, empty): 1})
+    yield IntMatrix(*shape, {key: x for key, x in entries.items() if key[0] != r})
+
+
+def decomposed(decompose, product, i, k, v):
+    try:
+        return decompose(product, i, k, v)
+    except ParameterError:
+        return "raises"
+
+
+@pytest.mark.parametrize("v", range(0, 7))
+def test_decompose_product_agrees_with_the_entrywise_oracle(v):
+    # every product of the sweep at v, and four faulty copies of each: the
+    # class-ordered read and the entry-by-entry oracle agree, in the
+    # coefficients or in raising
+    faults = raised = 0
+    for i, j, k in itertools.product(range(v + 1), repeat=3):
+        for l in intersection_range(i, j, v):
+            for s in intersection_range(j, k, v):
+                product = intersection_matrix(i, j, l, v) @ intersection_matrix(j, k, s, v)
+                want = decompose_product_entrywise(product, i, k, v)
+                assert decompose_product(product, i, k, v) == want == product_expansion(i, j, k, l, s, v)
+                for copy in faulty_copies(product):
+                    got = decomposed(decompose_product, copy, i, k, v)
+                    assert got == decomposed(decompose_product_entrywise, copy, i, k, v), (i, j, k, l, s)
+                    faults += 1
+                    raised += got == "raises"
+    # every ground size from 2 on has products with two rows and two columns,
+    # and most faulty copies then leave the span
+    assert v < 2 or raised > faults / 2
 
 
 @pytest.mark.parametrize("v", range(0, 6))

@@ -72,7 +72,8 @@ def combination(rng, pool, k, lo, hi):
 def check_structural_invariants(space):
     # the packed rows themselves
     for piv, (coords, values) in space._rows.items():
-        assert coords.typecode == "q"
+        fits_4_bytes = -(1 << 31) <= coords[0] and coords[-1] < 1 << 31
+        assert coords.typecode in "iq" and coords.itemsize == (4 if fits_4_bytes else 8)
         assert all(a < b for a, b in zip(coords, coords[1:])), "coords strictly ascending"
         assert coords[0] == piv, "coords[0] is the pivot"
         if type(values) is list:
@@ -203,9 +204,10 @@ def test_closure_rows_each_store_one_shared_value(closure_factory, prime):
     assert {values for _, values in space._rows.values()} == {1}
 
 
-def test_closure_basis_holds_at_most_32_bytes_per_entry():
-    # a packed row of T costs 8 bytes per coordinate plus a fixed header;
-    # {coordinate: value} dict rows cost more than 80 bytes per entry
+def test_closure_basis_holds_at_most_12_bytes_per_entry():
+    # a packed row of T costs 4 bytes per coordinate plus a fixed header;
+    # 8-byte coordinates read 13.6 bytes per entry, {coordinate: value}
+    # dict rows more than 80
     graph = OddGraph(4)
     closure(graph)  # fills the graph's caches, so only the second closure is counted
     gc.collect()
@@ -217,4 +219,4 @@ def test_closure_basis_holds_at_most_32_bytes_per_entry():
         tracemalloc.stop()
     nnz = sum(len(row) for _, row in clo.space.iter_basis())
     assert nnz == graph.num_vertices**2  # T's basis: disjoint 0/1 blocks covering every entry
-    assert held <= 32 * nnz, f"{held / nnz:.1f} bytes per basis entry"
+    assert held <= 12 * nnz, f"{held / nnz:.1f} bytes per basis entry"
