@@ -4,7 +4,6 @@ from .combinatorics import SubsetIndex, binomial, intersection_range
 from .errors import (
     ClosureDivergenceError,
     EliminationDivergenceError,
-    FormulaError,
     GraphStructureError,
     OddTerwError,
     ParameterError,

@@ -137,10 +137,10 @@ def _check_products(config: RunConfig) -> CheckResult:
 def _check_dimension() -> CheckResult:
     witnesses = []
     for m in range(1, DIMENSION_IDENTITY_MAX + 1):
-        try:
-            dimension_formula(m)
-        except OddTerwError as exc:
-            witnesses.append({"kind": "identity_mismatch", "m": m, "detail": str(exc)})
+        block_sum, expected = dimension_formula(m)
+        if block_sum != expected:
+            detail = f"block dimension sum {block_sum} != C({m}+4, 4) = {expected}"
+            witnesses.append({"kind": "identity_mismatch", "m": m, "detail": detail})
     return CheckResult.from_witnesses(
         "dimension",
         witnesses,
@@ -232,12 +232,13 @@ def run_verify(config: RunConfig) -> VerificationReport:
     The report lists the checks in CHECK_NAMES order, where the closure
     checks sit together between `blocks` and `dimension`, but the closure
     checks run first.  `_closure_checks` runs them one field at a time, with
-    at most one closure alive, so a third field adds time but no peak
-    memory; running them before the `products` sweep also keeps the
-    intersection matrices the sweep caches for every ground size out of the
-    closures' peak.  A kernel error in a closure becomes a failing
-    `closure-computation` entry instead of propagating, and the checks that
-    needed the lost result are reported as skipped.
+    at most one closure alive, so a further field adds time but no peak
+    heap.  Peak RSS, which also counts memory freed but kept by the
+    process, still grows with it.  Running them before the `products` sweep
+    also keeps the intersection matrices the sweep caches for every ground
+    size out of the closures' peak.  A kernel error in a closure becomes a
+    failing `closure-computation` entry instead of propagating, and the
+    checks that needed the lost result are reported as skipped.
     """
     graph = OddGraph(config.m) if config.needs_graph else None
     closure_entries = _closure_checks(config, graph) if config.needs_closure else []
@@ -292,15 +293,22 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_tdim(m_max: int) -> int:
+    """Print the table; exit status 1 when a row's block sum differs from C(m+4, 4)."""
     print(f"{'m':>4} {'block sum':>12} {'C(m+4,4)':>12} {'closure dim':>12}")
+    mismatched = []
     for m in range(1, m_max + 1):
-        identity = dimension_formula(m)
+        block_sum, expected = dimension_formula(m)
+        if block_sum != expected:
+            mismatched.append(m)
         if m <= DEFAULT_CLOSURE_MAX_M:
             clo = closure(OddGraph(m))
             closure_col = str(clo.dimension)
         else:
             closure_col = "skipped"
-        print(f"{m:>4} {identity.block_sum:>12} {identity.binomial:>12} {closure_col:>12}")
+        print(f"{m:>4} {block_sum:>12} {expected:>12} {closure_col:>12}")
+    if mismatched:
+        print(f"error: block sum differs from C(m+4, 4) at m = {mismatched}", file=sys.stderr)
+        return 1
     return 0
 
 

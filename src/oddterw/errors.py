@@ -22,16 +22,12 @@ class ClosureDivergenceError(OddTerwError, RuntimeError):
 
 
 class EliminationDivergenceError(OddTerwError, RuntimeError):
-    """Row reduction of one vector did not finish within dim + 1 pivot eliminations.
+    """Row reduction of one vector left a pivot coordinate in it.
 
-    Correct elimination fires each pivot at most once per reduction pass,
-    so this means the field arithmetic is broken, not that the input is
-    hard; raising it keeps a broken kernel from looping forever.
+    Correct elimination clears every pivot a vector meets in one pass, so
+    this means the field arithmetic is broken, not that the input is hard;
+    raising it keeps a broken kernel from overwriting a basis row.
     """
-
-
-class FormulaError(OddTerwError, ArithmeticError):
-    """A counting identity that must hold numerically failed to hold."""
 
 
 class GraphStructureError(OddTerwError, RuntimeError):

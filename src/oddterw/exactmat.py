@@ -17,33 +17,30 @@ products with one right factor in a row (as the `products` sweep does)
 packs it once.  Each matrix computes its max |entry| once and keeps it.
 
 `MatrixSpace` stores each basis row packed, as (coords, values): the
-row's coordinates in ascending order in a signed `array`, so coords[0] is
-the pivot, and one shared value when every entry is equal, as in every
-basis row of T, or else a list parallel to coords.  The array has 4-byte
-items when every coordinate of the row fits, as every ambient coordinate
-below n**2 < 2**31 does, and 8-byte items otherwise, so a row of T costs
-4 bytes per entry.  Vectors in flight are {coordinate: value}
-dicts, and `iter_basis` hands out a fresh dict per row.  The span reduces
-each vector in one pass: it takes the pivots the vector meets and
-eliminates each of them once, in ascending order, because the stored
-basis is fully reduced.  One elimination pops the pivot row's coords out
-of the vector with one `map`, compares them with the multiple of the row
-as a list, and puts back only the nonzero differences.  The multiple of a
-row with one shared value is one product.  A dependent candidate built
-from T's disjoint 0/1 blocks cancels each row it meets exactly, so
-nothing goes back.  The input is copied once on the way in (with `dict`
-when its values are already in range) and never modified.  Every stored
-row, in every field, has pivot value 1: a new row's coordinates are sorted
-once and its values scaled by the inverse of its pivot value, one product
-when they are equal.  An older row is unpacked only when `bisect` finds
-the new pivot among its coords.  Over the rationals an integral value is
-kept as a plain `int`, so T's 0/1 rows compare and multiply as ints.  A
-coordinate outside the signed 64-bit range is refused with
-`ParameterError`.  The reduction stops with
-`EliminationDivergenceError` after dim + 1 pivot eliminations of one
-vector, which correct arithmetic never needs, and `insert_vector` raises
-it too when a reduced vector still starts at a pivot, so a broken field
-kernel fails instead of looping forever or overwriting a basis row.
+row's coordinates in ascending order in a signed 4-byte `array`, so
+coords[0] is the pivot, and one shared value when every entry is equal, as
+in every basis row of T, or else a list parallel to coords.  Every ambient
+coordinate is below n**2 <= 1716**2 < 2**31, so a row of T costs 4 bytes
+per entry; a coordinate outside the signed 32-bit range is refused with
+`ParameterError`.  Vectors in flight are {coordinate: value} dicts, and
+`iter_basis` hands out a fresh dict per row.  The span reduces each vector
+in one pass: it eliminates each pivot the vector meets once, because the
+stored basis is fully reduced.  One elimination pops the pivot row's
+coords out of the vector with one `map`, compares them with the multiple
+of the row as a list, and puts back only the nonzero differences.  The
+multiple of a row with one shared value is one product.  A dependent
+candidate built from T's disjoint 0/1 blocks cancels each row it meets
+exactly, so nothing goes back.  The input is copied once on the way in
+(with `dict` when its values are already in range) and never modified.
+Every stored row, in every field, has pivot value 1: a new row's
+coordinates are sorted once and its values scaled by the inverse of its
+pivot value, one product when they are equal.  An older row is unpacked
+only when `bisect` finds the new pivot among its coords.  Over the
+rationals an integral value is kept as a plain `int`, so T's 0/1 rows
+compare and multiply as ints.  Both `insert_vector` and `contains_vector`
+check the reduction's defining property afterwards: a reduced vector that
+still meets a pivot raises `EliminationDivergenceError`, so a broken field
+kernel fails instead of overwriting a basis row or answering wrongly.
 
 IntMatrix values are immutable after construction and safe to share between
 threads; the cached max |entry| and the packing slot are each written whole,
@@ -73,9 +70,10 @@ MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 # Signed array typecodes by item size, for reading matmul fields of 8 to 64
 # bits; wider fields are sliced from the bytes one by one.
 _SIGNED_BY_SIZE = {array(t).itemsize: t for t in "bhiq"}
-# Typecodes for a packed basis row's coordinates, narrowest first, each with
-# the bound its values must stay below in absolute value (-bound allowed).
-_COORD_TYPECODES = tuple((_SIGNED_BY_SIZE[size], 1 << (8 * size - 1)) for size in (4, 8))
+# A packed basis row's coordinates are signed 4-byte items: each lies in
+# [-_COORD_BOUND, _COORD_BOUND).
+_COORD_TYPECODE = _SIGNED_BY_SIZE[4]
+_COORD_BOUND = 1 << 31
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -324,20 +322,17 @@ def _scaled(values, f, p: int | None):
 
 def _packed(row: dict) -> tuple:
     """`row` as (coords, values): its coordinates ascending in a signed 4-byte
-    `array` when they all fit, else an 8-byte one, and its one value when
-    every entry is equal, else its values in that order."""
+    `array`, and its one value when every entry is equal, else its values in
+    that order.  A coordinate outside the signed 32-bit range raises
+    ParameterError."""
     coords = sorted(row)
     values = list(map(row.__getitem__, coords))
     first = values[0]
     lo, hi = coords[0], coords[-1]
-    for typecode, limit in _COORD_TYPECODES:
-        if -limit <= lo and hi < limit:
-            coords = array(typecode, coords)
-            break
-    else:
-        bad = lo if lo < -limit else hi
-        raise ParameterError(f"coordinate {bad} is outside the signed 64-bit range")
-    return coords, first if values.count(first) == len(values) else values
+    if lo < -_COORD_BOUND or hi >= _COORD_BOUND:
+        bad = lo if lo < -_COORD_BOUND else hi
+        raise ParameterError(f"coordinate {bad} is outside the signed 32-bit range")
+    return array(_COORD_TYPECODE, coords), first if values.count(first) == len(values) else values
 
 
 def _unpacked(row: tuple) -> dict:
@@ -360,7 +355,7 @@ class MatrixSpace:
     GF(p) or, with prime=None, over the rationals, where a value is an int
     when integral and a `fractions.Fraction` otherwise.  Each row is stored
     packed, as (coords, values) from `_packed`; `iter_basis` reads them
-    back as dicts.  Coordinates must fit in a signed 64-bit integer.
+    back as dicts.  Coordinates must fit in a signed 32-bit integer.
     """
 
     def __init__(self, *, prime: int | None = DEFAULT_PRIME):
@@ -387,17 +382,11 @@ class MatrixSpace:
 
         Returns True when the dimension grew.  `vec` itself is not modified.
         """
-        v = self._normalize_input(vec)
-        self._reduce(v)
+        v = self._reduced(vec)
         if not v:
             return False
         coords, values = _packed(v)
         piv = coords[0]
-        if piv in self._rows:
-            # a reduced vector meets no pivot; storing it would overwrite a basis row
-            raise EliminationDivergenceError(
-                f"reduction left pivot {piv} in a vector over {self.field_name}"
-            )
         new = coords, _scaled(values, self._inverse(v[piv]), self.prime)
         # Keep the basis fully reduced: clear the new pivot coordinate from
         # every existing row that holds it.  `new` carries no other pivot
@@ -414,9 +403,7 @@ class MatrixSpace:
 
     def contains_vector(self, vec: dict[int, int]) -> bool:
         """True iff `vec` lies in the current span.  `vec` itself is not modified."""
-        v = self._normalize_input(vec)
-        self._reduce(v)
-        return not v
+        return not self._reduced(vec)
 
     # -- internals ----------------------------------------------------------
 
@@ -440,30 +427,30 @@ class MatrixSpace:
                 out[c] = v
         return out
 
-    def _reduce(self, v: dict[int, int]):
-        """Clear every pivot coordinate of `v`, in place.
+    def _reduced(self, vec: dict[int, int]) -> dict[int, int]:
+        # `vec` normalized and reduced, as a fresh dict that meets no pivot.
+        # The check after `_reduce` refuses a reduction that leaves a pivot,
+        # as a stuck or sign-flipped elimination or a skipped pass does.
+        v = self._normalize_input(vec)
+        self._reduce(v)
+        pivots_left = v.keys() & self._rows.keys()
+        if pivots_left:
+            raise EliminationDivergenceError(
+                f"reduction left pivot {min(pivots_left)} in a vector over {self.field_name}"
+            )
+        return v
 
-        One pass over the pivots `v` meets is enough.  Every stored row is
-        zero at all other pivots and has no coordinate below its own pivot,
-        so eliminating pivot c changes `v` at c and at non-pivot coordinates
-        only: each pivot present at the start fires once, and none appears.
-        The loop still re-reads the pivots `v` meets after each pass, and
-        stops after dim + 1 firings with `EliminationDivergenceError`, so a
-        broken field kernel fails instead of looping forever.
+    def _reduce(self, v: dict[int, int]):
+        """Clear every pivot coordinate of `v`, in place, in one pass.
+
+        Every stored row is zero at all other pivots, so eliminating pivot c
+        changes `v` at c and at non-pivot coordinates only: each pivot `v`
+        meets fires once, and none appears.  `_reduced` checks that no pivot
+        is left, so a broken field kernel fails after one pass.
         """
         rows = self._rows
-        dim, fired = len(rows), 0
-        hits = v.keys() & rows.keys()
-        while hits:
-            for c in sorted(hits):
-                if fired > dim:
-                    raise EliminationDivergenceError(
-                        f"reducing one vector did not finish after {fired} pivot eliminations "
-                        f"against a basis of dimension {dim} over {self.field_name}"
-                    )
-                self._eliminate(v, rows[c], c)
-                fired += 1
-            hits = v.keys() & rows.keys()
+        for c in v.keys() & rows.keys():
+            self._eliminate(v, rows[c], c)
 
     def _eliminate(self, v: dict, row: tuple, c: int):
         # Subtract v[c] times the packed `row`, whose pivot value is 1,

@@ -109,10 +109,18 @@ def test_criterion_6_membership_families(graph_factory, closure_factory):
 
 def test_criterion_7_counting_identity():
     t0 = time.perf_counter()
+    mismatched = []
     for m in range(1, 201):
-        dimension_formula(m)
+        block_sum, expected = dimension_formula(m)
+        if block_sum != expected:
+            mismatched.append(m)
     elapsed = time.perf_counter() - t0
-    _report(7, "block dimension sum equals C(m+4,4) for m=1..200", elapsed < 1.0, f"{elapsed:.2f}s")
+    _report(
+        7,
+        "block dimension sum equals C(m+4,4) for m=1..200",
+        not mismatched and elapsed < 1.0,
+        f"{elapsed:.2f}s mismatched={mismatched}",
+    )
 
 
 def test_criterion_8_property_suites(graph_factory, closure_factory):

@@ -618,6 +618,18 @@ def test_tdim_skips_closure_above_ceiling(monkeypatch, capsys):
     assert "skipped" in out
 
 
+def test_tdim_prints_every_row_and_fails_on_an_identity_mismatch(monkeypatch, capsys):
+    from oddterw import terwilliger
+
+    block_sum = terwilliger._block_dimension_sum
+    monkeypatch.setattr(terwilliger, "_block_dimension_sum", lambda m: block_sum(m) + (m == 2))
+    assert main(["tdim", "--max", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = [line.split() for line in captured.out.strip().splitlines()[1:]]
+    assert [row[:3] for row in lines] == [["1", "5", "5"], ["2", "16", "15"], ["3", "35", "35"]]
+    assert "m = [2]" in captured.err and "Traceback" not in captured.err
+
+
 def test_tdim_bad_max(capsys):
     assert main(["tdim", "--max", "0"]) == 2
 

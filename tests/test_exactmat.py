@@ -1,5 +1,6 @@
 import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from oddterw import (
     EliminationDivergenceError,
     IntMatrix,
     MatrixSpace,
+    OddGraph,
     ParameterError,
     ShapeError,
     is_prime,
@@ -17,6 +19,7 @@ from oddterw import (
     write_matrix_market,
 )
 from oddterw import exactmat
+from oddterw.oddgraph import DEFAULT_MAX_M
 
 
 def random_entries(rng, nrows, ncols, density=0.5, lo=-5, hi=5):
@@ -445,20 +448,27 @@ def test_space_basis_matrices_span_inserted():
     ids=["leading", "tail"],
 )
 def test_reduction_stops_after_dim_plus_one_pivots(monkeypatch, prime, basis, vector, stuck_pivot):
+    # well within dim + 1: the stuck pivot fires once, and the one pass ends
+    # with the pivot still in the vector
     space = MatrixSpace(prime=prime)
     for vec in basis:
         space.insert_vector(vec)
+    before = list(space.iter_basis())
     calls = []
 
     def stuck(v, row, c):
-        # an elimination that clears nothing; the cap keeps a missing bound from hanging the test
+        # an elimination that clears nothing; the cap keeps an unbounded loop from hanging the test
         calls.append(c)
         assert len(calls) < 100
 
     monkeypatch.setattr(space, "_eliminate", stuck)
-    with pytest.raises(EliminationDivergenceError, match="after 3 pivot eliminations"):
-        space.insert_vector(vector)
-    assert calls == [stuck_pivot] * 3
+    message = f"reduction left pivot {stuck_pivot} in a vector over {space.field_name}"
+    for method in (space.insert_vector, space.contains_vector):
+        calls.clear()
+        with pytest.raises(EliminationDivergenceError, match=re.escape(message)):
+            method(vector)
+        assert calls == [stuck_pivot]
+    assert list(space.iter_basis()) == before
 
 
 def test_insert_refuses_a_vector_left_at_a_pivot(monkeypatch):
@@ -475,12 +485,12 @@ def test_insert_refuses_a_vector_left_at_a_pivot(monkeypatch):
 def test_space_refuses_a_coordinate_outside_64_bits(coordinate):
     space = MatrixSpace()
     space.insert_vector({0: 1, 5: 1})
-    with pytest.raises(ParameterError, match=f"coordinate {coordinate} is outside the signed 64-bit"):
+    with pytest.raises(ParameterError, match=f"coordinate {coordinate} is outside the signed 32-bit"):
         space.insert_vector({1: 1, 2: 3, coordinate: 1})
     # nothing was stored, and the extremes that fit are accepted
     assert [piv for piv, _ in space.iter_basis()] == [0]
-    assert space.insert_vector({-(2**63): 1, 2**63 - 1: 2})
-    assert list(space.iter_basis())[0] == (-(2**63), {-(2**63): 1, 2**63 - 1: 2})
+    assert space.insert_vector({-(2**31): 1, 2**31 - 1: 2})
+    assert list(space.iter_basis())[0] == (-(2**31), {-(2**31): 1, 2**31 - 1: 2})
 
 
 @pytest.mark.parametrize(
@@ -494,7 +504,14 @@ def test_space_refuses_a_coordinate_outside_64_bits(coordinate):
     ],
 )
 def test_space_stores_coordinates_in_4_bytes_when_they_fit(row, itemsize):
+    # `itemsize` is the width the row's coordinates need: 4 bytes are stored,
+    # and a row that needs 8 is refused with nothing stored
     space = MatrixSpace()
+    if itemsize > 4:
+        with pytest.raises(ParameterError, match="outside the signed 32-bit range"):
+            space.insert_vector(row)
+        assert space.dim == 0
+        return
     assert space.insert_vector(row)
     [(coords, _)] = space._rows.values()
     assert coords.itemsize == itemsize
@@ -502,21 +519,14 @@ def test_space_stores_coordinates_in_4_bytes_when_they_fit(row, itemsize):
     assert space.contains_vector({c: 3 * x for c, x in row.items()})
 
 
-def test_space_reduces_across_coordinate_widths():
-    # a 4-byte row clears the pivot of an 8-byte row, which is then repacked
-    # narrower, and an 8-byte row reduces a vector with 4-byte coordinates
+def test_every_ambient_coordinate_fits_the_stored_width():
+    # the largest graph the CLI accepts: coordinate n**2 - 1 must be storable,
+    # so raising DEFAULT_MAX_M past the width fails here and not in a run
+    n = OddGraph(DEFAULT_MAX_M).num_vertices
     space = MatrixSpace()
-    assert space.insert_vector({0: 1, 5: 2, 2**31: 1})
-    assert space.insert_vector({2**31: 1})
-    assert space.insert_vector({-(2**40): 1, 5: 1})
-    assert [(piv, coords.itemsize) for piv, (coords, _) in sorted(space._rows.items())] == [
-        (-(2**40), 8), (0, 4), (2**31, 8),
-    ]
-    assert list(space.iter_basis()) == [
-        (-(2**40), {-(2**40): 1, 5: 1}), (0, {0: 1, 5: 2}), (2**31, {2**31: 1}),
-    ]
-    assert space.contains_vector({0: 1, -(2**40): 2, 5: 4, 2**31: 7})
-    assert not space.contains_vector({5: 1})
+    assert space.insert_vector({0: 1, n * n - 1: 1})
+    [(coords, _)] = space._rows.values()
+    assert coords.itemsize == 4 and coords[-1] == n * n - 1
 
 
 @pytest.mark.parametrize("value", ["p", -1, "2p+1"])

@@ -13,11 +13,11 @@ Faults covered here:
 - row reduction, each run in a child process under a timeout: a sign flip
   in GF(p) elimination, the same sign flip in rational elimination alone,
   and `MatrixSpace._reduce` skipped.  With a sign flip the leading
-  coordinate never clears, so before the reduction loops were bounded the
-  closure looped forever.  With the reduction skipped,
-  every vector would be accepted and overwrite the basis row at its
-  leading coordinate, so the frontier would grow every round;
-  `insert_vector` refuses a reduced vector that starts at a pivot instead;
+  coordinate never clears, and a reduction that re-read its pivots until
+  none was left would loop forever.  With the reduction skipped, every
+  vector would be accepted and overwrite the basis row at its leading
+  coordinate, so the frontier would grow every round.  The span checks
+  after every reduction that no pivot is left, and refuses the vector;
 - the closure and its inputs, each run as `verify --m 3 --checks all`: the
   closure cut to one round, `kron` with its two index roles swapped,
   intersection matrices with l mirrored in its range, a generator family
@@ -41,7 +41,10 @@ Faults covered here:
   since every basis row of T is 0/1 on disjoint blocks.  In both cases
   only the negative control, a matrix outside T that each span must
   reject, sees the fault; it sits at the pivot of a basis row whose other
-  entries must be put back.
+  entries must be put back;
+- the dimension identity: a block sum off by one at m = 3.  `closure`
+  reads C(m+4, 4) through the same `dimension_formula`, and must still
+  report, while only `dimension` fails.
 """
 
 import json
@@ -67,6 +70,7 @@ ORIGINAL_EXPANSION = intersection.product_expansion
 ORIGINAL_MATRIX = intersection.intersection_matrix
 ORIGINAL_EMBED = OddGraph.embed_vector
 ORIGINAL_FACTORS = oddgraph.expected_block_factors
+ORIGINAL_BLOCK_SUM = terwilliger._block_dimension_sum
 
 
 def matmul_dropping_one_entry(a, b):
@@ -198,7 +202,7 @@ def test_sign_flip_fails_closure_without_hanging(tmp_path, flip_exact, field):
     assert failed["name"] == "closure-computation" and failed["status"] == "fail"
     (witness,) = failed["witnesses"]
     assert witness["kind"] == "internal"
-    assert "pivot eliminations" in witness["detail"] and field in witness["detail"]
+    assert "reduction left pivot" in witness["detail"] and field in witness["detail"]
     assert [c["status"] for c in report["checks"][1:]] == ["skipped"]
 
 
@@ -377,3 +381,22 @@ def test_eliminate_dropping_differences_fails_the_negative_controls(tmp_path, ca
     }
     control = {"kind": "negative_control_accepted", "coordinate": OddGraph(3).class_offset(3)}
     assert all(witnesses == [control] for witnesses in failed.values())
+
+
+def block_sum_off_by_one_at_3(m):
+    return ORIGINAL_BLOCK_SUM(m) + (m == 3)
+
+
+def test_identity_fault_fails_dimension_alone(tmp_path, capsys, monkeypatch):
+    # `closure` takes its expected dimension from the binomial side of the
+    # identity, so it passes, and the report is still written
+    monkeypatch.setattr(terwilliger, "_block_dimension_sum", block_sum_off_by_one_at_3)
+    code, report = verify_m3_all(tmp_path, capsys)
+    assert code == 1
+    failed = {c["name"]: c["witnesses"] for c in report["checks"] if c["status"] == "fail"}
+    assert failed == {
+        "dimension": [
+            {"kind": "identity_mismatch", "m": 3, "detail": "block dimension sum 36 != C(3+4, 4) = 35"}
+        ]
+    }
+    assert next(c for c in report["checks"] if c["name"] == "closure")["status"] == "pass"

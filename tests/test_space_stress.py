@@ -72,8 +72,7 @@ def combination(rng, pool, k, lo, hi):
 def check_structural_invariants(space):
     # the packed rows themselves
     for piv, (coords, values) in space._rows.items():
-        fits_4_bytes = -(1 << 31) <= coords[0] and coords[-1] < 1 << 31
-        assert coords.typecode in "iq" and coords.itemsize == (4 if fits_4_bytes else 8)
+        assert coords.typecode == "i" and coords.itemsize == 4
         assert all(a < b for a, b in zip(coords, coords[1:])), "coords strictly ascending"
         assert coords[0] == piv, "coords[0] is the pivot"
         if type(values) is list:

@@ -544,7 +544,8 @@ def test_dimension_formula_values(m, expected):
 
 def test_dimension_formula_sweep():
     for m in range(1, 201):
-        dimension_formula(m)
+        identity = dimension_formula(m)
+        assert identity.block_sum == identity.binomial, m
 
 
 def test_block_dimension_rows_match_intersection_ranges():
