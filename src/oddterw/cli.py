@@ -40,10 +40,10 @@ CHECK_NAMES = ("products", "blocks", "closure", "containment", "memberships", "b
 CLOSURE_CHECKS = {"closure", "containment", "memberships", "basis"}
 DEFAULT_SWEEP_MAX = 7
 #: Sweeping above this ground size needs --allow-large: v = 9 alone takes
-#: about 10 s, and the cost grows super-exponentially.
+#: about 0.7 s on a 2-core VM, and the cost grows super-exponentially.
 SWEEP_MAX_CEILING = 8
 #: No sweep goes above this ground size, not even with --allow-large: v = 10
-#: takes about 30 s, and each further step costs about six times more.
+#: takes about 3.6 s, and each further step costs about five times more.
 SWEEP_MAX_LARGE = 10
 DIMENSION_IDENTITY_MAX = 200
 
@@ -174,6 +174,20 @@ def _timed(check, *args) -> CheckResult:
     return result
 
 
+def _guarded(name: str, check, *args) -> CheckResult:
+    """`_timed(check, *args)`, with any exception raised inside the check,
+    a bug included, reported as a failing entry `name` whose `internal`
+    witness gives the exception's type and message."""
+    t0 = time.perf_counter()
+    try:
+        return _timed(check, *args)
+    except Exception as exc:
+        witnesses = [{"kind": "internal", "detail": f"{type(exc).__name__}: {exc}"}]
+        failed = CheckResult(name=name, status=FAIL, witnesses=witnesses)
+        failed.ms = int((time.perf_counter() - t0) * 1000)
+        return failed
+
+
 def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
     """The entries of the selected closure checks, one field's closure at a time.
 
@@ -238,18 +252,21 @@ def run_verify(config: RunConfig) -> VerificationReport:
     also keeps the intersection matrices the sweep caches for every ground
     size out of the closures' peak.  A kernel error in a closure becomes a
     failing `closure-computation` entry instead of propagating, and the
-    checks that needed the lost result are reported as skipped.
+    checks that needed the lost result are reported as skipped.  Any
+    exception raised inside `products`, `blocks` or `dimension` becomes a
+    failing entry of that name (`_guarded`), and the other checks still
+    run.
     """
     graph = OddGraph(config.m) if config.needs_graph else None
     closure_entries = _closure_checks(config, graph) if config.needs_closure else []
     checks: list[CheckResult] = []
     if "products" in config.checks:
-        checks.append(_timed(_check_products, config))
+        checks.append(_guarded("products", _check_products, config))
     if "blocks" in config.checks:
-        checks.append(_timed(verify_adjacency_blocks, graph))
+        checks.append(_guarded("blocks", verify_adjacency_blocks, graph))
     checks += closure_entries
     if "dimension" in config.checks:
-        checks.append(_timed(_check_dimension))
+        checks.append(_guarded("dimension", _check_dimension))
 
     field_desc = "+".join(field_name(p) for p in config.fields)
     return VerificationReport(m=config.m, field=field_desc, checks=checks)

@@ -9,7 +9,10 @@ No floating point is used anywhere in this module.
 packs each row of the right factor into a single Python integer, one
 fixed-width bit field per column, wide enough for every entry of the
 product, so a result row costs one big-integer add per nonzero of the left
-row; the row is read back through `int.to_bytes` and a signed `array`.
+row.  The product keeps those integers with their field width, and reads
+its rows back, through `int.to_bytes` and a signed `array`, only when
+something first reads them; `decompose_product` compares the integers
+themselves (`IntMatrix._packed_form`) and never reads a sweep product back.
 One module-level slot holds the last right factor with its field width and
 packed rows, as a tuple replaced whole; a product whose right factor is
 that same object at that width reuses the rows, so a caller that runs its
@@ -43,8 +46,10 @@ still meets a pivot raises `EliminationDivergenceError`, so a broken field
 kernel fails instead of overwriting a basis row or answering wrongly.
 
 IntMatrix values are immutable after construction and safe to share between
-threads; the cached max |entry| and the packing slot are each written whole,
-so concurrent products at worst compute one of them twice.  MatrixSpace is
+threads; the cached max |entry|, the packing slot and a product's one
+storage slot are each written whole, so concurrent products at worst
+compute one of them twice, and concurrent readers of a product still held
+packed at worst read its rows back twice.  MatrixSpace is
 single-writer: readers are fine once insertion stops, but concurrent
 insertions must be serialized by the caller.
 """
@@ -80,12 +85,20 @@ _BIG_ENDIAN = sys.byteorder == "big"
 class IntMatrix:
     """Sparse matrix with exact integer entries, stored by row.
 
+    One slot holds the rows, in one of two forms and never both: row dicts
+    {row: {col: value}}, or, for a product of `__matmul__` not yet read,
+    its packing (W, {row: packed row}) as the kernel built it.  The first
+    read of `_rows`, through any method but `nnz`, reads the packing back
+    and replaces the slot whole with the dicts, so the packing is dropped
+    and a concurrent reader at worst reads it back twice.  `nnz` counts on
+    a read-back it does not keep.
+
     Treat instances as frozen: none of the public operations mutate their
     operands, and shared instances (including cached ones) must never be
     modified in place.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_max")
+    __slots__ = ("nrows", "ncols", "_store", "_max")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
@@ -99,19 +112,48 @@ class IntMatrix:
                     raise ShapeError(f"entry ({r}, {c}) outside shape ({nrows}, {ncols})")
                 if v:
                     rows.setdefault(r, {})[c] = v
-        self._rows = rows
+        self._store = rows
         self._max = None
 
     @classmethod
-    def _wrap(cls, nrows: int, ncols: int, rows: dict[int, dict[int, int]]) -> "IntMatrix":
-        # Internal fast path: takes ownership of `rows`, which must contain
-        # no zero values and no empty row dicts.
+    def _wrap(cls, nrows: int, ncols: int, rows) -> "IntMatrix":
+        # Internal fast path: takes ownership of `rows`, either row dicts
+        # with no zero values and no empty row, or a packed (W, {row: int})
+        # pair as `__matmul__` builds it, with no zero row.
         m = cls.__new__(cls)
         m.nrows = nrows
         m.ncols = ncols
-        m._rows = rows
+        m._store = rows
         m._max = None
         return m
+
+    @property
+    def _rows(self) -> dict[int, dict[int, int]]:
+        # The rows as {row: {col: value}}.  A product still held packed is
+        # read back on this first read, and the dicts replace the packing.
+        store = self._store
+        if type(store) is tuple:
+            width, packed = store
+            store = _read_back(width, packed, self.ncols)
+            self._store = store
+        return store
+
+    def _packed_form(self) -> tuple[int, dict[int, int]]:
+        """(W, {row: packed row}): every nonzero row as one integer, entry
+        (r, c) the signed digit in the W-bit field at bit W*c.
+
+        A product still held packed returns its packing as the kernel built
+        it; any other matrix is packed anew at the smallest of 8, 16, 32,
+        64, 128, ... bits with max|entry| < 2**(W-1), and nothing is kept.
+        Each |entry| is then below 2**(W-1), so the signed base-2**W digits
+        of a row's integer are unique: two rows with equal integers are
+        equal.
+        """
+        store = self._store
+        if type(store) is tuple:
+            return store
+        width = 8 * _field_bytes(self._max_abs())
+        return width, _pack(store, width)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
@@ -127,7 +169,12 @@ class IntMatrix:
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        # a product still held packed is counted on a read-back that is not
+        # kept, so counting leaves it as `decompose_product` reads it
+        store = self._store
+        if type(store) is tuple:
+            store = _read_back(*store, self.ncols)
+        return sum(map(len, store.values()))
 
     def entry(self, r: int, c: int) -> int:
         return self._rows.get(r, {}).get(c, 0)
@@ -164,11 +211,11 @@ class IntMatrix:
         128, ... with max|self| * max|other| * inner dimension < 2**(W-1).
         A result row is the sum of a * packed[k] over the nonzeros a at
         (row, k): the integer with the row's entries as its base-2**W
-        digits.  No entry reaches 2**(W-1) in absolute value, so adding a
-        bias of 2**(W-1) in every field leaves each field in [1, 2**W - 1]
-        with no carry across fields, and flipping each field's top bit then
-        gives the entry in W-bit two's complement.  The fields are read back
-        with a signed `array`, or past 64 bits with `int.from_bytes`.
+        digits.  The product keeps W and these integers, one per nonzero
+        row, as they are; its rows are read back (`_read_back`) only when
+        something first reads them, and a caller that needs only the
+        packing (`decompose_product`, through `_packed_form`) never pays
+        for it.
 
         The packed rows of the last right factor are kept in one slot, and
         a product whose right factor is that same object, at the same W,
@@ -177,38 +224,19 @@ class IntMatrix:
         """
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        ncols = other.ncols
-        if not self._rows or not other._rows:
+        ncols, left = other.ncols, self._rows
+        if not left or not other._rows:
             return IntMatrix._wrap(self.nrows, ncols, {})
-        bound = self._max_abs() * other._max_abs() * self.ncols
-        nbytes = 1
-        while bound >= 1 << (8 * nbytes - 1):
-            nbytes *= 2
-        width = 8 * nbytes
+        width = 8 * _field_bytes(self._max_abs() * other._max_abs() * self.ncols)
         packed = _packed_rows(other, width)
-        biased = int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
-        size = nbytes * ncols
-        typecode = _SIGNED_BY_SIZE.get(nbytes)
         rows = {}
-        for r, row in self._rows.items():
+        for r, row in left.items():
             acc = 0
             for k, a in row.items():
                 acc += packed[k] if a == 1 else a * packed[k]
-            if not acc:  # base-2**W digits in range are unique: this row is zero
-                continue
-            raw = ((acc + biased) ^ biased).to_bytes(size, "little")
-            if typecode is None:
-                fields = [
-                    int.from_bytes(raw[i : i + nbytes], "little", signed=True)
-                    for i in range(0, size, nbytes)
-                ]
-            else:
-                fields = array(typecode, raw)
-                if _BIG_ENDIAN:
-                    fields.byteswap()
-            # the (column, entry) pairs whose entry is nonzero
-            rows[r] = dict(compress(enumerate(fields), fields))
-        return IntMatrix._wrap(self.nrows, ncols, rows)
+            if acc:  # base-2**W digits in range are unique: a zero row packs to 0
+                rows[r] = acc
+        return IntMatrix._wrap(self.nrows, ncols, (width, rows))
 
     def _max_abs(self) -> int:
         # max|entry|, computed on first use; 0 for the zero matrix
@@ -228,6 +256,55 @@ class IntMatrix:
         """Row-major flattening: coordinate r*ncols + c maps to the entry value."""
         ncols = self.ncols
         return {r * ncols + c: v for r, row in self._rows.items() for c, v in row.items()}
+
+
+def _field_bytes(bound: int) -> int:
+    """Bytes per field: the smallest of 1, 2, 4, 8, 16, ... with bound < 2**(8*bytes - 1)."""
+    nbytes = 1
+    while bound >= 1 << (8 * nbytes - 1):
+        nbytes *= 2
+    return nbytes
+
+
+def _pack(rows: dict, width: int) -> dict[int, int]:
+    """{row: packed row}, entry (r, c) the signed digit in the `width`-bit
+    field at bit width*c; every |entry| must be below 2**(width-1)."""
+    packed = {}
+    for r, row in rows.items():
+        word = 0
+        for c, x in row.items():
+            word += x << (width * c)
+        packed[r] = word
+    return packed
+
+
+def _read_back(width: int, packed: dict[int, int], ncols: int) -> dict[int, dict[int, int]]:
+    """The rows of a packing as {row: {col: value}}, without zero entries.
+
+    No entry reaches 2**(W-1) in absolute value, so adding a bias of
+    2**(W-1) in every field leaves each field in [1, 2**W - 1] with no
+    carry across fields, and flipping each field's top bit then gives the
+    entry in W-bit two's complement.  The fields are read with a signed
+    `array`, or past 64 bits with `int.from_bytes`.
+    """
+    nbytes = width // 8
+    size, typecode = nbytes * ncols, _SIGNED_BY_SIZE.get(nbytes)
+    biased = int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
+    rows = {}
+    for r, acc in packed.items():
+        raw = ((acc + biased) ^ biased).to_bytes(size, "little")
+        if typecode is None:
+            fields = [
+                int.from_bytes(raw[i : i + nbytes], "little", signed=True)
+                for i in range(0, size, nbytes)
+            ]
+        else:
+            fields = array(typecode, raw)
+            if _BIG_ENDIAN:
+                fields.byteswap()
+        # the (column, entry) pairs whose entry is nonzero
+        rows[r] = dict(compress(enumerate(fields), fields))
+    return rows
 
 
 # The right factor `IntMatrix.__matmul__` packed last: (matrix, W, packed rows).

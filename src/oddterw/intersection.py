@@ -11,20 +11,24 @@ against it.
 
 `product_formula_failures` is the `products` check.  For every admissible
 pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
-`IntMatrix.__matmul__`, then `decompose_product` reads every entry of the
-product back, one row at a time in class order: the class of entry (r, c)
-is the popcount of the AND of the bit masks of subsets r and c, taken from
-`SubsetIndex.subsets()` and not from the intersection matrices, so a wrong
-`intersection_matrix` cannot vouch for itself.  The column order of each
-(v, i, k) is computed once and kept, for one ground size at a time.  The
-loops take (j, k, s) outside and (i, l) inside: each right factor
-H(j, k, s, v) then serves a run of consecutive products, and the kernel
-packs it once for the whole run.
+`IntMatrix.__matmul__`, then `decompose_product` checks every entry of the
+product, one row at a time, without reading it back: each row, packed as
+the kernel built it, is compared as one integer with the row every member
+of the span holds there, the class values read from row 0 times the class
+patterns of that row.  The class of entry (r, c) is the popcount of the
+AND of the bit masks of subsets r and c, taken from `SubsetIndex.subsets()`
+and not from the intersection matrices, so a wrong `intersection_matrix`
+cannot vouch for itself.  The column order of each (v, i, k) is computed
+once and kept, for one ground size at a time; the class patterns built
+from it are kept for one (v, k) at a time.  The loops take (k, j, s)
+outside and (i, l) inside: each right factor H(j, k, s, v) then serves a
+run of consecutive products, and the kernel packs it once for the whole
+run, and every i of one k comes before the next k.
 
-All functions here are safe for unsynchronized concurrent use.  The one
-module-level cache, the class tables of the last ground size, only gains
-tables or is replaced whole, so concurrent callers at worst build a table
-twice.
+All functions here are safe for unsynchronized concurrent use.  The two
+module-level caches, the class tables of the last ground size and the
+class patterns of the last (v, k), only gain entries or are replaced
+whole, so concurrent callers at worst build a table or a pattern twice.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 
 from .combinatorics import SubsetIndex, binomial, intersection_range
 from .errors import ParameterError
-from .exactmat import IntMatrix
+from .exactmat import IntMatrix, _pack, _read_back
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,42 @@ def _class_table(v: int, i: int, k: int) -> tuple:
     return order, segments
 
 
+# The class patterns of one (v, k): ((v, k), {(i, W): (order, patterns)}).
+# Patterns for another (v, k) replace the pair whole, so the sweep, which
+# runs every i inside each k, holds one column size's patterns at a time.
+_held_patterns: tuple = (None, {})
+
+
+def _class_patterns(order, segments: list, ncols: int, width: int) -> list[list[int]]:
+    """For each class of `segments`, the rows of the 0/1 matrix that is 1
+    exactly on that class, packed at `width` as `IntMatrix._packed_form` is.
+
+    Columns are read from `order`, the mask-derived class order of
+    `_class_table`, so a member of the span with value x_g on class g packs
+    to sum_g x_g * patterns[g][r] in row r.
+    """
+    bases = range(0, len(order), ncols)  # where each row's slice of `order` starts
+    patterns = []
+    for _, start, stop in segments:
+        rows = {r: dict.fromkeys(order[b + start : b + stop], 1) for r, b in enumerate(bases)}
+        patterns.append(list(_pack(rows, width).values()))
+    return patterns
+
+
+def _patterns_for(v: int, i: int, k: int, width: int, order, segments: list) -> list[list[int]]:
+    """`_class_patterns` of (v, i, k) at `width`, kept while `order` is the same object."""
+    global _held_patterns
+    key, held = _held_patterns
+    if key != (v, k):
+        held = {}
+        _held_patterns = ((v, k), held)
+    entry = held.get((i, width))
+    if entry is None or entry[0] is not order:
+        entry = (order, _class_patterns(order, segments, binomial(v, k), width))
+        held[(i, width)] = entry
+    return entry[1]
+
+
 def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, int]:
     """Write `product` in the disjoint-support family {H(i,k,g,v)} by reading entries.
 
@@ -184,36 +225,54 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     g points.  The class of an entry (r, c) is the popcount of the AND of
     the bit masks of row subset r and column subset c; the masks come from
     the subsets themselves, not from the intersection matrices, through
-    `_class_table`.  Each row is read once, in class order, and compared as
-    one list with the row every member of the span has there: each class
-    filled with the value of its first entry in row 0, or empty.  Raises
-    ParameterError if `product` is not constant on intersection classes,
-    i.e. not in the span of the family at all.
+    `_class_table`.  The value x_g of class g is read from row 0, at the
+    first column of that class in the class order.
+
+    Every row is then compared whole, as one integer: the product's packed
+    row (`IntMatrix._packed_form`, one W-bit field per column) against
+    sum_g x_g * M[r][g], where M[r][g] has a 1 in the field of every column
+    of class g in row r (`_class_patterns`).  Every |entry| is below 2**(W-1), so the
+    signed base-2**W digits are unique and equal integers mean equal rows:
+    every entry is compared.  A product of `IntMatrix.__matmul__` is read
+    in the packing the kernel built and is left packed; a row that differs
+    is read back only to name the fault.  Raises ParameterError if
+    `product` is not constant on intersection classes, i.e. not in the
+    span of the family at all.
     """
     nrows, ncols = binomial(v, i), binomial(v, k)
     if product.shape != (nrows, ncols):
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
     order, segments = _class_table(v, i, k)
-    rows, empty = product._rows, {}
-    first = list(map(rows.get(0, empty).get, order[:ncols]))
-    values = [first[start] for _, start, _ in segments]
-    expected = []
-    for (_, start, stop), value in zip(segments, values):
-        expected += [value] * (stop - start)
-    for r in range(nrows):
-        got = list(map(rows.get(r, empty).get, order[r * ncols : (r + 1) * ncols]))
-        if got != expected:
-            raise _class_fault(got, segments, values, r)
+    width, packed = product._packed_form()
+    patterns = _patterns_for(v, i, k, width, order, segments)
+    first = _read_back(width, {0: packed.get(0, 0)}, ncols)[0]
+    values = [first.get(order[start]) for _, start, _ in segments]
+    expected = [0] * nrows  # sum_g x_g * M[r][g] for each row r
+    for pattern, value in zip(patterns, values):
+        if value is not None:
+            scaled = pattern if value == 1 else map(mul, pattern, itertools.repeat(value))
+            expected = list(map(add, expected, scaled))
+    got = list(map(packed.get, range(nrows), itertools.repeat(0)))
+    if got != expected:
+        r = next(r for r, (x, y) in enumerate(zip(got, expected)) if x != y)
+        row = _read_back(width, {r: got[r]}, ncols)[r]
+        raise _class_fault(list(map(row.get, order[r * ncols : (r + 1) * ncols])), segments, values, r)
     return {g: value for (g, _, _), value in zip(segments, values) if value is not None}
 
 
 def _class_fault(got: list, segments: list, values: list, r: int) -> ParameterError:
     """The error for row r, read in class order as `got`, where it differs from row 0."""
-    g, start, stop, want = next(
-        (g, start, stop, want)
-        for (g, start, stop), want in zip(segments, values)
-        if got[start:stop] != [want] * (stop - start)
+    differs = next(
+        (
+            (g, start, stop, want)
+            for (g, start, stop), want in zip(segments, values)
+            if got[start:stop] != [want] * (stop - start)
+        ),
+        None,
     )
+    if differs is None:  # only a wrong class pattern gets here
+        return ParameterError(f"row {r} reads class-constant but differs from its class pattern")
+    g, start, stop, want = differs
     found = [x for x in got[start:stop] if x is not None]
     held = want if want is not None else found[0]
     other = next((x for x in found if x != held), None)
@@ -233,15 +292,19 @@ def product_formula_failures(v: int) -> list[dict]:
     """Check every admissible product of two intersection matrices over a v-set.
 
     For each (i, j, k) and each feasible (l, s), the direct product is
-    decomposed by entry reading and compared with `product_expansion`.  The
-    loops run over (j, k, s) outside and (i, l) inside, so each right factor
-    H(j, k, s, v) serves a run of consecutive products and
-    `IntMatrix.__matmul__` packs it once.  Returns machine-readable
-    witnesses for any failures, in loop order.
+    decomposed by `decompose_product`, which compares each packed row of
+    it with the class pattern of its row 0 as one integer, and compared
+    with `product_expansion`.  The loops run over (k, j, s) outside and
+    (i, l) inside: each right factor H(j, k, s, v) serves a run of
+    consecutive products and `IntMatrix.__matmul__` packs it once, and
+    every product of one column size k comes before the next k, so the
+    class patterns are kept for one (v, k) at a time.  Returns
+    machine-readable witnesses for any failures, in that loop order: by k,
+    then j, s, i and l.
     """
     failures = []
-    for j in range(v + 1):
-        for k in range(v + 1):
+    for k in range(v + 1):
+        for j in range(v + 1):
             for s in intersection_range(j, k, v):
                 right = intersection_matrix(j, k, s, v)
                 for i in range(v + 1):

@@ -194,6 +194,64 @@ def test_matmul_entries_on_the_width_edge(width):
         assert sums == IntMatrix(2, 3, {(0, 0): edge, (0, 2): edge, (1, 0): -edge, (1, 2): -edge})
 
 
+# A product holds the kernel's packing until its rows are first read.  That
+# read replaces the packing whole with row dicts, so a product never holds both.
+FIRST_READS = {
+    "entry": lambda m: m.entry(1, 2),
+    "row_values": lambda m: m.row_values(1),
+    "iter_entries": lambda m: list(m.iter_entries()),
+    "is_zero": lambda m: m.is_zero(),
+    "eq": lambda m: m == IntMatrix.zeros(*m.shape),
+    "transpose": lambda m: m.transpose(),
+    "vectorize": lambda m: m.vectorize(),
+    "kron": lambda m: kron(m, IntMatrix.identity(2)),
+    "left-factor": lambda m: m @ IntMatrix.identity(m.ncols),
+    "right-factor": lambda m: IntMatrix.identity(m.nrows) @ m,
+}
+
+
+@pytest.mark.parametrize("read", FIRST_READS.values(), ids=FIRST_READS)
+def test_first_read_of_a_product_drops_its_packing(read):
+    rng = random.Random(67)
+    a, b = random_matrix(rng, 5, 4), random_matrix(rng, 4, 6)
+    product = a @ b
+    width, packed = product._store  # as the kernel built it: W and one integer per nonzero row
+    assert width == 8 and product._packed_form() is product._store
+    read(product)
+    assert type(product._store) is dict
+    expected = dense_matmul(dense(a), dense(b), 6)
+    assert product._store == {
+        r: {c: x for c, x in enumerate(row) if x} for r, row in enumerate(expected) if any(row)
+    }
+    assert product._packed_form() == (width, packed)  # packed anew, at the same W here
+
+
+def test_nnz_counts_a_product_and_leaves_it_packed():
+    # the per-product probe of a traced run must not change what
+    # `decompose_product` is given
+    rng = random.Random(71)
+    a, b = random_matrix(rng, 5, 4), random_matrix(rng, 4, 6)
+    product = a @ b
+    held = product._store
+    expected = dense_matmul(dense(a), dense(b), 6)
+    nnz = sum(x != 0 for row in expected for x in row)
+    assert product.nnz == nnz and repr(product) == f"IntMatrix(5x6, nnz={nnz})"
+    assert product._store is held
+
+
+@pytest.mark.parametrize("top", [1, 127, 128, 2**15, 2**40, 2**63, 2**100])
+def test_packed_form_of_row_dicts_is_read_back_to_them(top):
+    # smallest W with top < 2**(W-1); nothing is kept on the matrix
+    rng = random.Random(top)
+    entries = random_entries(rng, 4, 7, lo=-top + 1, hi=top - 1)
+    entries[(2, 3)] = -top
+    matrix = IntMatrix(4, 7, entries)
+    width, packed = matrix._packed_form()
+    assert width == next(w for w in (8, 16, 32, 64, 128, 256) if top < 1 << (w - 1))
+    assert type(matrix._store) is dict
+    assert exactmat._read_back(width, packed, 7) == matrix._rows
+
+
 # The kernel keeps the packed rows of its last right factor in one slot and
 # reuses them only for that same object at the same field width.
 

@@ -206,29 +206,44 @@ def faulty_copies(product):
 
 
 def decomposed(decompose, product, i, k, v):
+    """The coefficients, or ("raises", the error text)."""
     try:
         return decompose(product, i, k, v)
-    except ParameterError:
-        return "raises"
+    except ParameterError as exc:
+        return "raises", str(exc)
+
+
+def packed_copy(matrix):
+    """`matrix` held packed, as a product of the kernel is."""
+    return IntMatrix._wrap(*matrix.shape, matrix._packed_form())
 
 
 @pytest.mark.parametrize("v", range(0, 7))
 def test_decompose_product_agrees_with_the_entrywise_oracle(v):
     # every product of the sweep at v, and four faulty copies of each: the
-    # class-ordered read and the entry-by-entry oracle agree, in the
-    # coefficients or in raising
+    # packed comparison and the entry-by-entry oracle agree, in the
+    # coefficients or in raising, and each input reads the same, coefficients
+    # or error text, held packed at the kernel's width and held as row dicts
     faults = raised = 0
     for i, j, k in itertools.product(range(v + 1), repeat=3):
         for l in intersection_range(i, j, v):
             for s in intersection_range(j, k, v):
                 product = intersection_matrix(i, j, l, v) @ intersection_matrix(j, k, s, v)
-                want = decompose_product_entrywise(product, i, k, v)
-                assert decompose_product(product, i, k, v) == want == product_expansion(i, j, k, l, s, v)
+                held = product._store
+                assert type(held) is tuple  # every product of the sweep is nonzero, so held packed
+                packed = decompose_product(product, i, k, v)
+                assert product._store is held
+                want = decompose_product_entrywise(product, i, k, v)  # reads the rows
+                assert type(product._store) is dict
+                assert decompose_product(product, i, k, v) == packed == want == product_expansion(i, j, k, l, s, v)
                 for copy in faulty_copies(product):
                     got = decomposed(decompose_product, copy, i, k, v)
-                    assert got == decomposed(decompose_product_entrywise, copy, i, k, v), (i, j, k, l, s)
+                    assert decomposed(decompose_product, packed_copy(copy), i, k, v) == got
+                    oracle = decomposed(decompose_product_entrywise, copy, i, k, v)
+                    failed = type(got) is tuple
+                    assert failed == (type(oracle) is tuple) and (failed or got == oracle), (i, j, k, l, s)
                     faults += 1
-                    raised += got == "raises"
+                    raised += failed
     # every ground size from 2 on has products with two rows and two columns,
     # and most faulty copies then leave the span
     assert v < 2 or raised > faults / 2
@@ -239,9 +254,26 @@ def test_product_formula_sweep_small(v):
     assert product_formula_failures(v) == []
 
 
+def test_decompose_product_leaves_a_sweep_product_packed():
+    product = intersection_matrix(2, 3, 1, 6) @ intersection_matrix(3, 2, 2, 6)
+    held = product._store
+    assert decompose_product(product, 2, 2, 6) == product_expansion(2, 3, 2, 1, 2, 6)
+    assert product._store is held
+
+
+def test_sweep_holds_the_class_patterns_of_one_column_size(monkeypatch):
+    # the loops take k outermost, so each (v, k) replaces the patterns of the last
+    monkeypatch.setattr(intersection, "_held_patterns", (None, {}))
+    assert product_formula_failures(6) == []
+    key, held = intersection._held_patterns
+    assert key == (6, 6)
+    assert set(held) == {(i, 8) for i in range(7)}
+
+
 def test_product_sweep_packs_each_right_factor_once(monkeypatch):
-    # the sweep's loop order gives each H(j, k, s, v) one run of products,
-    # so the kernel packs it once: one packing per distinct (j, k, s)
+    # the sweep's loop order, (k, j, s) outside and (i, l) inside, gives each
+    # H(j, k, s, v) one run of products, so the kernel packs it once: one
+    # packing per distinct (j, k, s)
     v = 6
     original = exactmat._packed_rows
     packed = []
@@ -258,8 +290,8 @@ def test_product_sweep_packs_each_right_factor_once(monkeypatch):
     assert product_formula_failures(v) == []
     rights = [
         intersection_matrix(j, k, s, v)
-        for j in range(v + 1)
         for k in range(v + 1)
+        for j in range(v + 1)
         for s in intersection_range(j, k, v)
     ]
     assert len(packed) == len(rights)

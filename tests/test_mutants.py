@@ -8,8 +8,11 @@ Faults covered here:
 
 - the product-formula sweep (`products`): a matrix product that drops one
   entry, packed rows reused for any right factor of the same shape,
-  subset bit masks replaced by their complements' masks, and a
-  closed-form expansion that starts at g = 1;
+  subset bit masks replaced by their complements' masks, class patterns
+  built without the last column of the last class, and a closed-form
+  expansion that starts at g = 1.  A bug that raises inside the sweep
+  (`decompose_product` raising `IndexError`) fails `products` alone, with
+  an `internal` witness;
 - row reduction, each run in a child process under a timeout: a sign flip
   in GF(p) elimination, the same sign flip in rational elimination alone,
   and `MatrixSpace._reduce` skipped.  With a sign flip the leading
@@ -66,6 +69,7 @@ from oddterw.oddgraph import OddGraph
 ORIGINAL_MATMUL = IntMatrix.__matmul__
 ORIGINAL_PACKED_ROWS = exactmat._packed_rows
 ORIGINAL_MASKS = intersection._subset_masks
+ORIGINAL_PATTERNS = intersection._class_patterns
 ORIGINAL_EXPANSION = intersection.product_expansion
 ORIGINAL_MATRIX = intersection.intersection_matrix
 ORIGINAL_EMBED = OddGraph.embed_vector
@@ -96,6 +100,12 @@ def complement_masks(v, size):
     return [((1 << v) - 1) ^ mask for mask in ORIGINAL_MASKS(v, size)]
 
 
+def patterns_missing_a_column(order, segments, ncols, width):
+    # the last class's pattern lacks that class's last column in every row
+    g, start, stop = segments[-1]
+    return ORIGINAL_PATTERNS(order, segments[:-1] + [(g, start, stop - 1)], ncols, width)
+
+
 def expansion_from_g_1(*args):
     return {g: c for g, c in ORIGINAL_EXPANSION(*args).items() if g >= 1}
 
@@ -119,13 +129,18 @@ def verify_products(tmp_path, capsys):
          {"product_not_class_constant", "expansion_mismatch"}, ""),
         (intersection, "_subset_masks", complement_masks,
          {"product_not_class_constant"}, ""),
+        (intersection, "_class_patterns", patterns_missing_a_column,
+         {"product_not_class_constant"}, "reads class-constant but differs from its class pattern"),
         (intersection, "product_expansion", expansion_from_g_1,
          {"expansion_mismatch"}, ""),
     ],
-    ids=["matmul-drops-an-entry", "packing-reused-by-shape", "complement-masks", "expansion-from-g-1"],
+    ids=["matmul-drops-an-entry", "packing-reused-by-shape", "complement-masks",
+         "patterns-missing-a-column", "expansion-from-g-1"],
 )
 def test_sweep_fault_fails_products(tmp_path, capsys, monkeypatch, target, name, fault, kinds, detail):
-    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))  # no packing left by earlier tests
+    # no packing and no class patterns left by earlier tests
+    monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
+    monkeypatch.setattr(intersection, "_held_patterns", (None, {}))
     monkeypatch.setattr(target, name, fault)
     code, seen, details = verify_products(tmp_path, capsys)
     assert code == 1
@@ -135,6 +150,24 @@ def test_sweep_fault_fails_products(tmp_path, capsys, monkeypatch, target, name,
 
 def test_sweep_passes_without_a_fault(tmp_path, capsys):
     assert verify_products(tmp_path, capsys) == (0, Counter(), [])
+
+
+def decompose_raising_index_error(product, i, k, v):
+    raise IndexError(f"no row {product.nrows}")
+
+
+def test_bug_in_the_sweep_fails_products_alone(tmp_path, capsys, monkeypatch):
+    # an exception that is no verdict on the product still gives a report,
+    # with `products` failing on an `internal` witness and the other checks run
+    monkeypatch.setattr(intersection, "decompose_product", decompose_raising_index_error)
+    code = main(["verify", "--m", "2", "--checks", "products,blocks,dimension", "--out", str(tmp_path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["products"]["status"] == "fail"
+    assert checks["products"]["witnesses"] == [{"kind": "internal", "detail": "IndexError: no row 1"}]
+    assert checks["blocks"]["status"] == checks["dimension"]["status"] == "pass"
 
 
 SIGN_FLIP = """
