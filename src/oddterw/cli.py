@@ -167,25 +167,23 @@ def _check_closure(
     )
 
 
-def _timed(check, *args) -> CheckResult:
-    t0 = time.perf_counter()
-    result = check(*args)
-    result.ms = int((time.perf_counter() - t0) * 1000)
-    return result
+def _internal(name: str, exc: Exception) -> CheckResult:
+    """A failing entry `name` whose `internal` witness reads "<type>: <message>"."""
+    witnesses = [{"kind": "internal", "detail": f"{type(exc).__name__}: {exc}"}]
+    return CheckResult(name=name, status=FAIL, witnesses=witnesses)
 
 
 def _guarded(name: str, check, *args) -> CheckResult:
-    """`_timed(check, *args)`, with any exception raised inside the check,
-    a bug included, reported as a failing entry `name` whose `internal`
-    witness gives the exception's type and message."""
+    """`check(*args)` with its wall time in `ms`.  Any exception raised
+    inside the check, a bug included, becomes a failing entry `name`
+    (`_internal`) instead of propagating."""
     t0 = time.perf_counter()
     try:
-        return _timed(check, *args)
+        result = check(*args)
     except Exception as exc:
-        witnesses = [{"kind": "internal", "detail": f"{type(exc).__name__}: {exc}"}]
-        failed = CheckResult(name=name, status=FAIL, witnesses=witnesses)
-        failed.ms = int((time.perf_counter() - t0) * 1000)
-        return failed
+        result = _internal(name, exc)
+    result.ms = int((time.perf_counter() - t0) * 1000)
+    return result
 
 
 def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
@@ -195,19 +193,26 @@ def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
     verifier and dropped before the next field starts, so at most one
     closure is alive at once; only the verifiers' entries, the closure's
     dimension and its `missed_words` outlive it.  The `closure` check then
-    compares the kept dimensions and reports each missed word.  Entries come in CHECK_NAMES order, then in field order,
-    and the closures' summed time goes into the first.  A kernel error in
-    any field (divergence, for instance) gives one failing
+    compares the kept dimensions and reports each missed word.  Entries
+    come in CHECK_NAMES order, then in field order, and the closures'
+    summed time goes into the first.  Any exception raised by a closure,
+    a kernel error such as divergence or a bug, gives one failing
     `closure-computation` entry followed by every selected closure check
-    as skipped; entries from earlier fields are dropped with it.
+    as skipped; entries from earlier fields are dropped with it.  Every
+    verifier runs through `_guarded`, under the name of the entry it
+    makes, so an exception raised inside one fails that entry alone.
     """
     gens = block_generators(config.m)
-    # the verifiers each check runs per field, each naming its own entry; looked
-    # up on every call, not at import, so a rebound module attribute takes effect
+    # the verifiers each check runs per field, with the name of the entry each
+    # makes, less its "[<field>]"; looked up on every call, not at import, so
+    # a rebound module attribute takes effect
     per_field = {
-        "containment": [(verify_closure_in_generator_span, gens), (verify_generators_in_closure, gens)],
-        "memberships": [(verify_membership_families,)],
-        "basis": [(verify_generator_basis, gens)],
+        "containment": [
+            ("containment-closure-in-span", verify_closure_in_generator_span, gens),
+            ("containment-span-in-closure", verify_generators_in_closure, gens),
+        ],
+        "memberships": [("memberships", verify_membership_families)],
+        "basis": [("basis", verify_generator_basis, gens)],
     }
     selected = [name for name in config.checks if name in CLOSURE_CHECKS]
     entries: dict[str, list[CheckResult]] = {name: [] for name in selected}
@@ -218,23 +223,23 @@ def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
         t0 = time.perf_counter()
         try:
             clo = closure(graph, prime=prime)
-        except OddTerwError as exc:
-            witnesses = [{"kind": "internal", "detail": str(exc)}]
-            failed = CheckResult(name="closure-computation", status=FAIL, witnesses=witnesses)
+        except Exception as exc:
+            failed = _internal("closure-computation", exc)
             failed.ms = int((closure_s + time.perf_counter() - t0) * 1000)
             return [failed] + [
                 CheckResult(name=name, status=SKIPPED, params={"reason": "closure computation failed"})
                 for name in selected
             ]
         closure_s += time.perf_counter() - t0
-        dims[field_name(prime)] = clo.dimension
-        missed[field_name(prime)] = clo.missed_words
+        field = field_name(prime)
+        dims[field] = clo.dimension
+        missed[field] = clo.missed_words
         for name in selected:
-            for verify, *args in per_field.get(name, ()):
-                entries[name].append(_timed(verify, graph, clo, *args))
+            for entry, verify, *args in per_field.get(name, ()):
+                entries[name].append(_guarded(f"{entry}[{field}]", verify, graph, clo, *args))
         del clo  # before the next field's closure is computed, not after
     if "closure" in entries:
-        entries["closure"].append(_timed(_check_closure, config, dims, missed))
+        entries["closure"].append(_guarded("closure", _check_closure, config, dims, missed))
     checks = [entry for name in selected for entry in entries[name]]
     checks[0].ms += int(closure_s * 1000)
     return checks
@@ -250,12 +255,12 @@ def run_verify(config: RunConfig) -> VerificationReport:
     heap.  Peak RSS, which also counts memory freed but kept by the
     process, still grows with it.  Running them before the `products` sweep
     also keeps the intersection matrices the sweep caches for every ground
-    size out of the closures' peak.  A kernel error in a closure becomes a
-    failing `closure-computation` entry instead of propagating, and the
-    checks that needed the lost result are reported as skipped.  Any
-    exception raised inside `products`, `blocks` or `dimension` becomes a
-    failing entry of that name (`_guarded`), and the other checks still
-    run.
+    size out of the closures' peak.  An exception raised by a closure
+    becomes a failing `closure-computation` entry instead of propagating,
+    and the checks that needed the lost result are reported as skipped.
+    Any exception raised inside any other check, a per-field verifier
+    included, becomes a failing entry of that check's name (`_guarded`),
+    and the other checks still run.
     """
     graph = OddGraph(config.m) if config.needs_graph else None
     closure_entries = _closure_checks(config, graph) if config.needs_closure else []

@@ -9,11 +9,15 @@ No floating point is used anywhere in this module.
 packs each row of the right factor into a single Python integer, one
 fixed-width bit field per column, wide enough for every entry of the
 product, so a result row costs one big-integer add per nonzero of the left
-row.  The product keeps those integers with their field width, and reads
-its rows back, through `int.to_bytes` and a signed `array`, only when
-something first reads them; `decompose_product` compares the integers
-themselves (`IntMatrix._packed_form`) and never reads a sweep product back.
-One module-level slot holds the last right factor with its field width and
+row.  A field is 8, 16, 32 or 64 bits wide; a product that would need a
+wider one is refused with `ParameterError` (the largest bound any check
+reaches is 12012, at m = 6).  `_pack` is the one packing loop, for right
+factors and for the class patterns of `decompose_product` alike.  The
+product keeps its integers with their field width, and reads its rows
+back, through `int.to_bytes` and a signed `array`, only when something
+first reads them; `decompose_product` compares the integers themselves
+(`IntMatrix._packed_form`) and never reads a sweep product back.  One
+module-level slot holds the last right factor with its field width and
 packed rows, as a tuple replaced whole; a product whose right factor is
 that same object at that width reuses the rows, so a caller that runs its
 products with one right factor in a row (as the `products` sweep does)
@@ -72,8 +76,7 @@ DEFAULT_PRIME = DEFAULT_PRIMES[0]
 
 MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
-# Signed array typecodes by item size, for reading matmul fields of 8 to 64
-# bits; wider fields are sliced from the bytes one by one.
+# Signed array typecodes by item size, for reading matmul fields of 8 to 64 bits.
 _SIGNED_BY_SIZE = {array(t).itemsize: t for t in "bhiq"}
 # A packed basis row's coordinates are signed 4-byte items: each lies in
 # [-_COORD_BOUND, _COORD_BOUND).
@@ -143,17 +146,17 @@ class IntMatrix:
         (r, c) the signed digit in the W-bit field at bit W*c.
 
         A product still held packed returns its packing as the kernel built
-        it; any other matrix is packed anew at the smallest of 8, 16, 32,
-        64, 128, ... bits with max|entry| < 2**(W-1), and nothing is kept.
-        Each |entry| is then below 2**(W-1), so the signed base-2**W digits
-        of a row's integer are unique: two rows with equal integers are
-        equal.
+        it; any other matrix is packed anew at the smallest of 8, 16, 32 and
+        64 bits with max|entry| < 2**(W-1), and nothing is kept (a larger
+        entry raises ParameterError).  Each |entry| is then below 2**(W-1),
+        so the signed base-2**W digits of a row's integer are unique: two
+        rows with equal integers are equal.
         """
         store = self._store
         if type(store) is tuple:
             return store
         width = 8 * _field_bytes(self._max_abs())
-        return width, _pack(store, width)
+        return width, _pack(store, width, {})
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
@@ -207,8 +210,9 @@ class IntMatrix:
         """Exact product, one big-integer add per nonzero of `self`.
 
         Each row of `other` is packed into an integer with column c in the
-        W-bit field at bit W*c, where W is the smallest of 8, 16, 32, 64,
-        128, ... with max|self| * max|other| * inner dimension < 2**(W-1).
+        W-bit field at bit W*c, where W is the smallest of 8, 16, 32 and 64
+        with max|self| * max|other| * inner dimension < 2**(W-1); a larger
+        bound raises ParameterError.
         A result row is the sum of a * packed[k] over the nonzeros a at
         (row, k): the integer with the row's entries as its base-2**W
         digits.  The product keeps W and these integers, one per nonzero
@@ -259,17 +263,21 @@ class IntMatrix:
 
 
 def _field_bytes(bound: int) -> int:
-    """Bytes per field: the smallest of 1, 2, 4, 8, 16, ... with bound < 2**(8*bytes - 1)."""
-    nbytes = 1
-    while bound >= 1 << (8 * nbytes - 1):
-        nbytes *= 2
-    return nbytes
+    """Bytes per field: the smallest of 1, 2, 4 and 8 with bound < 2**(8*bytes - 1).
+
+    A bound of 2**63 or more raises ParameterError.
+    """
+    for nbytes in (1, 2, 4, 8):
+        if bound < 1 << (8 * nbytes - 1):
+            return nbytes
+    raise ParameterError(f"entry bound {bound} does not fit a signed 64-bit field")
 
 
-def _pack(rows: dict, width: int) -> dict[int, int]:
-    """{row: packed row}, entry (r, c) the signed digit in the `width`-bit
-    field at bit width*c; every |entry| must be below 2**(width-1)."""
-    packed = {}
+def _pack(rows: dict, width: int, packed):
+    """`packed`, a dict or a list, with packed[r] set to row r of `rows` as
+    one integer for every r in `rows`: entry (r, c) the signed digit in the
+    `width`-bit field at bit width*c.  Every |entry| must be below
+    2**(width-1)."""
     for r, row in rows.items():
         word = 0
         for c, x in row.items():
@@ -284,24 +292,16 @@ def _read_back(width: int, packed: dict[int, int], ncols: int) -> dict[int, dict
     No entry reaches 2**(W-1) in absolute value, so adding a bias of
     2**(W-1) in every field leaves each field in [1, 2**W - 1] with no
     carry across fields, and flipping each field's top bit then gives the
-    entry in W-bit two's complement.  The fields are read with a signed
-    `array`, or past 64 bits with `int.from_bytes`.
+    entry in W-bit two's complement, read with a signed `array`.
     """
     nbytes = width // 8
-    size, typecode = nbytes * ncols, _SIGNED_BY_SIZE.get(nbytes)
+    size, typecode = nbytes * ncols, _SIGNED_BY_SIZE[nbytes]
     biased = int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
     rows = {}
     for r, acc in packed.items():
-        raw = ((acc + biased) ^ biased).to_bytes(size, "little")
-        if typecode is None:
-            fields = [
-                int.from_bytes(raw[i : i + nbytes], "little", signed=True)
-                for i in range(0, size, nbytes)
-            ]
-        else:
-            fields = array(typecode, raw)
-            if _BIG_ENDIAN:
-                fields.byteswap()
+        fields = array(typecode, ((acc + biased) ^ biased).to_bytes(size, "little"))
+        if _BIG_ENDIAN:
+            fields.byteswap()
         # the (column, entry) pairs whose entry is nonzero
         rows[r] = dict(compress(enumerate(fields), fields))
     return rows
@@ -323,12 +323,7 @@ def _packed_rows(matrix: IntMatrix, width: int) -> list[int]:
     held, held_width, packed = _last_packed
     if held is matrix and held_width == width:
         return packed
-    packed = [0] * matrix.nrows  # a row of zeros packs to 0
-    for k, row in matrix._rows.items():
-        word = 0
-        for c, b in row.items():
-            word += b << (width * c)
-        packed[k] = word
+    packed = _pack(matrix._rows, width, [0] * matrix.nrows)  # a row of zeros packs to 0
     _last_packed = (matrix, width, packed)
     return packed
 

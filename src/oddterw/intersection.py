@@ -18,23 +18,23 @@ of the span holds there, the class values read from row 0 times the class
 patterns of that row.  The class of entry (r, c) is the popcount of the
 AND of the bit masks of subsets r and c, taken from `SubsetIndex.subsets()`
 and not from the intersection matrices, so a wrong `intersection_matrix`
-cannot vouch for itself.  The column order of each (v, i, k) is computed
-once and kept, for one ground size at a time; the class patterns built
-from it are kept for one (v, k) at a time.  The loops take (k, j, s)
-outside and (i, l) inside: each right factor H(j, k, s, v) then serves a
-run of consecutive products, and the kernel packs it once for the whole
-run, and every i of one k comes before the next k.
+cannot vouch for itself.  The class data of each (v, i, k) and field
+width, the place of each class in a row sorted by class, the first column
+of each class in row 0 and the packed class patterns, is built once and
+kept for one (v, k) at a time; no per-row column order is kept, and a
+faulty row's order is computed from the masks again.  The loops take
+(k, j, s) outside and (i, l) inside: each right factor H(j, k, s, v) then
+serves a run of consecutive products, and the kernel packs it once for
+the whole run, and every i of one k comes before the next k.
 
-All functions here are safe for unsynchronized concurrent use.  The two
-module-level caches, the class tables of the last ground size and the
-class patterns of the last (v, k), only gain entries or are replaced
-whole, so concurrent callers at worst build a table or a pattern twice.
+All functions here are safe for unsynchronized concurrent use.  The one
+module-level cache, the class data of the last (v, k), only gains entries
+or is replaced whole, so concurrent callers at worst build an entry twice.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
@@ -134,87 +134,65 @@ def _subset_masks(v: int, size: int) -> list[int]:
     return [sum(1 << e for e in s) for s in SubsetIndex(v, size).subsets()]
 
 
-# The class tables of one ground size: (v, {(i, k): (row masks, column masks,
-# order, segments)}).  A table for another ground size replaces the pair
-# whole, so the sweep holds one ground size's tables at a time.
-_class_tables: tuple = (None, {})
+def _class_order(row_mask: int, col_masks: list[int]) -> tuple[list[int], list[int]]:
+    """(classes, order) of one row: the class of each column, the popcount
+    of the AND of the two subsets' masks, and the columns sorted by class,
+    ascending within a class."""
+    classes = [(row_mask & col_mask).bit_count() for col_mask in col_masks]
+    return classes, sorted(range(len(col_masks)), key=classes.__getitem__)
 
 
-def _class_table(v: int, i: int, k: int) -> tuple:
-    """(order, segments) for reading a C(v, i) x C(v, k) product class by class.
+# The class data of one (v, k): ((v, k), {(i, W): (segments, firsts, patterns)}).
+# Data for another (v, k) replaces the pair whole, so the sweep, which runs
+# every i inside each k, holds one column size's data at a time.
+_class_data_held: tuple = (None, {})
 
-    `order` holds, for each row subset r in turn, the C(v, k) column indices
-    sorted by class, the class of (r, c) being the popcount of the AND of the
-    masks of subsets r and c from `_subset_masks`, and ascending within a
-    class.  `segments` lists (g, start, stop) for each class g in
-    `intersection_range(i, k, v)`: where its C(i, g) * C(v - i, k - g)
-    columns sit in every row's slice of `order`.  Raises ParameterError when
-    a row's class sizes differ from these, as they do for any class outside
-    that range.  A table is kept while its mask lists are the same objects.
+
+def _class_data(v: int, i: int, k: int, width: int) -> tuple:
+    """(segments, firsts, patterns) for reading a C(v, i) x C(v, k) product class by class.
+
+    The class of entry (r, c) is read from the masks of `_subset_masks`
+    (`_class_order`).  `segments` lists (g, start, stop) for each class g
+    in `intersection_range(i, k, v)`: where its C(i, g) * C(v - i, k - g)
+    columns sit in a row sorted by class.  `firsts` holds the first column
+    of each class in row 0.  `patterns` holds one list per class g, whose
+    item r is row r of the 0/1 matrix M[g] that is 1 exactly on class g,
+    packed at `width` by `_pack`, so a member of the span with value x_g
+    on class g packs to sum_g x_g * M[g][r] in row r.  Raises
+    ParameterError when a row's class sizes differ from these, as they do
+    for any class outside that range.
     """
-    global _class_tables
-    row_masks, col_masks = _subset_masks(v, i), _subset_masks(v, k)
-    held_v, tables = _class_tables
-    if held_v != v:
-        tables = {}
-        _class_tables = (v, tables)
-    held = tables.get((i, k))
-    if held is not None and held[0] is row_masks and held[1] is col_masks:
-        return held[2], held[3]
+    global _class_data_held
+    key, held = _class_data_held
+    if key != (v, k):
+        held = {}
+        _class_data_held = ((v, k), held)
+    data = held.get((i, width))
+    if data is not None:
+        return data
     segments, profile = [], []
     for g in intersection_range(i, k, v):
         size = binomial(i, g) * binomial(v - i, k - g)
         segments.append((g, len(profile), len(profile) + size))
         profile += [g] * size
-    ncols = len(col_masks)
-    order = array("B" if ncols <= 256 else "L")
-    for r, row_mask in enumerate(row_masks):
-        classes = [(row_mask & col_mask).bit_count() for col_mask in col_masks]
+    col_masks = _subset_masks(v, k)
+    patterns = [[] for _ in segments]
+    for r, row_mask in enumerate(_subset_masks(v, i)):
+        classes, order = _class_order(row_mask, col_masks)
         if sorted(classes) != profile:
             g = next(g for g in range(v + 1) if classes.count(g) != profile.count(g))
             raise ParameterError(
                 f"row {r} meets {classes.count(g)} columns in {g} points, not "
                 f"{profile.count(g)}, for subset sizes ({i}, {k}) of a {v}-set"
             )
-        order.extend(sorted(range(ncols), key=classes.__getitem__))
-    tables[(i, k)] = (row_masks, col_masks, order, segments)
-    return order, segments
-
-
-# The class patterns of one (v, k): ((v, k), {(i, W): (order, patterns)}).
-# Patterns for another (v, k) replace the pair whole, so the sweep, which
-# runs every i inside each k, holds one column size's patterns at a time.
-_held_patterns: tuple = (None, {})
-
-
-def _class_patterns(order, segments: list, ncols: int, width: int) -> list[list[int]]:
-    """For each class of `segments`, the rows of the 0/1 matrix that is 1
-    exactly on that class, packed at `width` as `IntMatrix._packed_form` is.
-
-    Columns are read from `order`, the mask-derived class order of
-    `_class_table`, so a member of the span with value x_g on class g packs
-    to sum_g x_g * patterns[g][r] in row r.
-    """
-    bases = range(0, len(order), ncols)  # where each row's slice of `order` starts
-    patterns = []
-    for _, start, stop in segments:
-        rows = {r: dict.fromkeys(order[b + start : b + stop], 1) for r, b in enumerate(bases)}
-        patterns.append(list(_pack(rows, width).values()))
-    return patterns
-
-
-def _patterns_for(v: int, i: int, k: int, width: int, order, segments: list) -> list[list[int]]:
-    """`_class_patterns` of (v, i, k) at `width`, kept while `order` is the same object."""
-    global _held_patterns
-    key, held = _held_patterns
-    if key != (v, k):
-        held = {}
-        _held_patterns = ((v, k), held)
-    entry = held.get((i, width))
-    if entry is None or entry[0] is not order:
-        entry = (order, _class_patterns(order, segments, binomial(v, k), width))
-        held[(i, width)] = entry
-    return entry[1]
+        if r == 0:
+            firsts = [order[start] for _, start, _ in segments]
+        # row r of every class's pattern, packed as the rows of one matrix
+        ones = {g: dict.fromkeys(order[start:stop], 1) for g, start, stop in segments}
+        for pattern, word in zip(patterns, _pack(ones, width, {}).values()):
+            pattern.append(word)
+    data = held[(i, width)] = (segments, firsts, patterns)
+    return data
 
 
 def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, int]:
@@ -225,29 +203,28 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     g points.  The class of an entry (r, c) is the popcount of the AND of
     the bit masks of row subset r and column subset c; the masks come from
     the subsets themselves, not from the intersection matrices, through
-    `_class_table`.  The value x_g of class g is read from row 0, at the
-    first column of that class in the class order.
+    `_class_data`.  The value x_g of class g is read from row 0, at the
+    first column of that class.
 
     Every row is then compared whole, as one integer: the product's packed
     row (`IntMatrix._packed_form`, one W-bit field per column) against
-    sum_g x_g * M[r][g], where M[r][g] has a 1 in the field of every column
-    of class g in row r (`_class_patterns`).  Every |entry| is below 2**(W-1), so the
+    sum_g x_g * M[g][r], where M[g][r] has a 1 in the field of every column
+    of class g in row r.  Every |entry| is below 2**(W-1), so the
     signed base-2**W digits are unique and equal integers mean equal rows:
     every entry is compared.  A product of `IntMatrix.__matmul__` is read
     in the packing the kernel built and is left packed; a row that differs
-    is read back only to name the fault.  Raises ParameterError if
-    `product` is not constant on intersection classes, i.e. not in the
-    span of the family at all.
+    is read back, and its class order computed from the masks again, only
+    to name the fault.  Raises ParameterError if `product` is not constant
+    on intersection classes, i.e. not in the span of the family at all.
     """
     nrows, ncols = binomial(v, i), binomial(v, k)
     if product.shape != (nrows, ncols):
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
-    order, segments = _class_table(v, i, k)
     width, packed = product._packed_form()
-    patterns = _patterns_for(v, i, k, width, order, segments)
+    segments, firsts, patterns = _class_data(v, i, k, width)
     first = _read_back(width, {0: packed.get(0, 0)}, ncols)[0]
-    values = [first.get(order[start]) for _, start, _ in segments]
-    expected = [0] * nrows  # sum_g x_g * M[r][g] for each row r
+    values = list(map(first.get, firsts))
+    expected = [0] * nrows  # sum_g x_g * M[g][r] for each row r
     for pattern, value in zip(patterns, values):
         if value is not None:
             scaled = pattern if value == 1 else map(mul, pattern, itertools.repeat(value))
@@ -256,7 +233,8 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     if got != expected:
         r = next(r for r, (x, y) in enumerate(zip(got, expected)) if x != y)
         row = _read_back(width, {r: got[r]}, ncols)[r]
-        raise _class_fault(list(map(row.get, order[r * ncols : (r + 1) * ncols])), segments, values, r)
+        _, order = _class_order(_subset_masks(v, i)[r], _subset_masks(v, k))
+        raise _class_fault(list(map(row.get, order)), segments, values, r)
     return {g: value for (g, _, _), value in zip(segments, values) if value is not None}
 
 
@@ -298,7 +276,7 @@ def product_formula_failures(v: int) -> list[dict]:
     (i, l) inside: each right factor H(j, k, s, v) serves a run of
     consecutive products and `IntMatrix.__matmul__` packs it once, and
     every product of one column size k comes before the next k, so the
-    class patterns are kept for one (v, k) at a time.  Returns
+    class data are kept for one (v, k) at a time.  Returns
     machine-readable witnesses for any failures, in that loop order: by k,
     then j, s, i and l.
     """

@@ -156,11 +156,18 @@ def test_matmul_empty_shapes(n, k, m):
     assert assert_matmul_matches_dense(random_sparse(rng, n, k), random_sparse(rng, k, m)).is_zero()
 
 
-# Fields are W bits wide, W the smallest of 8, 16, 32, ... with
+def assert_matmul_refused(a, b):
+    """`a @ b` needs a field past 64 bits: ParameterError, before anything is packed."""
+    held = exactmat._last_packed
+    with pytest.raises(ParameterError, match="does not fit a signed 64-bit field"):
+        a @ b
+    assert exactmat._last_packed is held
+
+
+# Fields are W bits wide, W the smallest of 8, 16, 32 and 64 with
 # max|A| * max|B| * inner < 2**(W-1).  Here that bound is 5 * 2**(width-6):
 # past the limit 2**(width/2 - 1) of the next narrower width and below
-# 2**(width-1), so each case runs at `width`; 128 reads its fields by
-# slicing bytes.
+# 2**(width-1), so each case runs at `width`; 128 has no field and is refused.
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
 def test_matmul_each_field_width(width):
     rng = random.Random(width)
@@ -169,7 +176,11 @@ def test_matmul_each_field_width(width):
         entries_a = {(r, c): rng.randint(-top, top) for r in range(4) for c in range(inner) if rng.random() < 0.7}
         entries_b = {(r, c): rng.randint(-top, top) for r in range(inner) for c in range(6) if rng.random() < 0.7}
         entries_a[(0, 0)], entries_b[(0, 0)] = top, -top
-        assert_matmul_matches_dense(IntMatrix(4, inner, entries_a), IntMatrix(inner, 6, entries_b))
+        a, b = IntMatrix(4, inner, entries_a), IntMatrix(inner, 6, entries_b)
+        if width > 64:
+            assert_matmul_refused(a, b)
+        else:
+            assert_matmul_matches_dense(a, b)
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
@@ -179,12 +190,18 @@ def test_matmul_entries_on_the_width_edge(width):
     # entries of exactly +-(2**(W-1) - 1) in neighbouring fields
     a = IntMatrix(2, 1, {(0, 0): edge, (1, 0): -edge})
     b = IntMatrix(1, 5, {(0, 0): 1, (0, 1): -1, (0, 3): 1, (0, 4): -1})
+    if width > 64:
+        assert_matmul_refused(a, b)
+        return
     product = assert_matmul_matches_dense(a, b)
     assert [v for _, _, v in product.iter_entries()] == [edge, -edge, edge, -edge, -edge, edge, -edge, edge]
-    # a bound of exactly 2**(W-1) must move to the next width
+    # a bound of exactly 2**(W-1) must move to the next width, and past 64 bits is refused
     over = IntMatrix(1, 1, {(0, 0): edge + 1})
-    assert_matmul_matches_dense(over, b)
-    assert_matmul_matches_dense(over, IntMatrix(1, 1, {(0, 0): -1}))
+    for right in (b, IntMatrix(1, 1, {(0, 0): -1})):
+        if width == 64:
+            assert_matmul_refused(over, right)
+        else:
+            assert_matmul_matches_dense(over, right)
     # a sum over several inner indices reaching the edge: 7 * 31 * 151 = 2**15 - 1
     if width == 16:
         sums = assert_matmul_matches_dense(
@@ -241,13 +258,18 @@ def test_nnz_counts_a_product_and_leaves_it_packed():
 
 @pytest.mark.parametrize("top", [1, 127, 128, 2**15, 2**40, 2**63, 2**100])
 def test_packed_form_of_row_dicts_is_read_back_to_them(top):
-    # smallest W with top < 2**(W-1); nothing is kept on the matrix
+    # smallest W with top < 2**(W-1); nothing is kept on the matrix, and an
+    # entry of 2**63 or more in absolute value is refused
     rng = random.Random(top)
     entries = random_entries(rng, 4, 7, lo=-top + 1, hi=top - 1)
     entries[(2, 3)] = -top
     matrix = IntMatrix(4, 7, entries)
+    if top >= 1 << 63:
+        with pytest.raises(ParameterError, match=f"entry bound {top} does not fit"):
+            matrix._packed_form()
+        return
     width, packed = matrix._packed_form()
-    assert width == next(w for w in (8, 16, 32, 64, 128, 256) if top < 1 << (w - 1))
+    assert width == next(w for w in (8, 16, 32, 64) if top < 1 << (w - 1))
     assert type(matrix._store) is dict
     assert exactmat._read_back(width, packed, 7) == matrix._rows
 

@@ -173,11 +173,13 @@ def test_decompose_product_validates_class_constancy():
 def test_decompose_product_reads_classes_from_the_current_masks(monkeypatch):
     # complement masks move each class g of a product with (i, k) = (1, 2)
     # at v = 4 to g + 1, leaving class 0 empty and class 2 outside the range,
-    # which the class table refuses; the table of the real masks still serves
+    # which `_class_data` refuses once its cache is empty; the data of the
+    # real masks still serve
     product = intersection_matrix(1, 2, 1, 4) @ intersection_matrix(2, 2, 2, 4)
     assert decompose_product(product, 1, 2, 4) == {1: 1}
     original = intersection._subset_masks
     complements = lambda v, size: [((1 << v) - 1) ^ mask for mask in original(v, size)]
+    monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
     monkeypatch.setattr(intersection, "_subset_masks", complements)
     with pytest.raises(ParameterError, match="row 0 meets 0 columns in 0 points, not 3"):
         decompose_product(product, 1, 2, 4)
@@ -262,12 +264,25 @@ def test_decompose_product_leaves_a_sweep_product_packed():
 
 
 def test_sweep_holds_the_class_patterns_of_one_column_size(monkeypatch):
-    # the loops take k outermost, so each (v, k) replaces the patterns of the last
-    monkeypatch.setattr(intersection, "_held_patterns", (None, {}))
+    # the loops take k outermost, so each (v, k) replaces the class data of the last
+    monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
     assert product_formula_failures(6) == []
-    key, held = intersection._held_patterns
+    key, held = intersection._class_data_held
     assert key == (6, 6)
     assert set(held) == {(i, 8) for i in range(7)}
+
+
+def test_sweep_to_v8_holds_the_class_data_of_its_last_column_size_only(monkeypatch):
+    # one slot for every (v, i, k): after v = 8 it holds the data of (8, 8)
+    # alone, one entry per row size, each without a per-row column order
+    monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
+    assert product_formula_failures(8) == []
+    key, held = intersection._class_data_held
+    assert key == (8, 8)
+    assert set(held) == {(i, 8) for i in range(9)}
+    for (i, _), (segments, firsts, patterns) in held.items():
+        assert segments == [(i, 0, 1)] and firsts == [0]
+        assert patterns == [[1] * binomial(8, i)]
 
 
 def test_product_sweep_packs_each_right_factor_once(monkeypatch):

@@ -9,10 +9,13 @@ Faults covered here:
 - the product-formula sweep (`products`): a matrix product that drops one
   entry, packed rows reused for any right factor of the same shape,
   subset bit masks replaced by their complements' masks, class patterns
-  built without the last column of the last class, and a closed-form
+  without the last column of the last class, and a closed-form
   expansion that starts at g = 1.  A bug that raises inside the sweep
   (`decompose_product` raising `IndexError`) fails `products` alone, with
-  an `internal` witness;
+  an `internal` witness, and one inside a per-field verifier
+  (`verify_generator_basis` raising `IndexError`) fails that verifier's
+  entries alone.  A closure raising `KeyError` fails `closure-computation`,
+  as a kernel error does;
 - row reduction, each run in a child process under a timeout: a sign flip
   in GF(p) elimination, the same sign flip in rational elimination alone,
   and `MatrixSpace._reduce` skipped.  With a sign flip the leading
@@ -69,7 +72,7 @@ from oddterw.oddgraph import OddGraph
 ORIGINAL_MATMUL = IntMatrix.__matmul__
 ORIGINAL_PACKED_ROWS = exactmat._packed_rows
 ORIGINAL_MASKS = intersection._subset_masks
-ORIGINAL_PATTERNS = intersection._class_patterns
+ORIGINAL_CLASS_DATA = intersection._class_data
 ORIGINAL_EXPANSION = intersection.product_expansion
 ORIGINAL_MATRIX = intersection.intersection_matrix
 ORIGINAL_EMBED = OddGraph.embed_vector
@@ -100,10 +103,12 @@ def complement_masks(v, size):
     return [((1 << v) - 1) ^ mask for mask in ORIGINAL_MASKS(v, size)]
 
 
-def patterns_missing_a_column(order, segments, ncols, width):
-    # the last class's pattern lacks that class's last column in every row
-    g, start, stop = segments[-1]
-    return ORIGINAL_PATTERNS(order, segments[:-1] + [(g, start, stop - 1)], ncols, width)
+def patterns_missing_a_column(v, i, k, width):
+    # the last class's pattern lacks that class's last column in every row:
+    # each field holds 0 or 1, so that column is the pattern's top set bit
+    segments, firsts, patterns = ORIGINAL_CLASS_DATA(v, i, k, width)
+    last = [p - (1 << (p.bit_length() - 1)) for p in patterns[-1]]
+    return segments, firsts, patterns[:-1] + [last]
 
 
 def expansion_from_g_1(*args):
@@ -129,7 +134,7 @@ def verify_products(tmp_path, capsys):
          {"product_not_class_constant", "expansion_mismatch"}, ""),
         (intersection, "_subset_masks", complement_masks,
          {"product_not_class_constant"}, ""),
-        (intersection, "_class_patterns", patterns_missing_a_column,
+        (intersection, "_class_data", patterns_missing_a_column,
          {"product_not_class_constant"}, "reads class-constant but differs from its class pattern"),
         (intersection, "product_expansion", expansion_from_g_1,
          {"expansion_mismatch"}, ""),
@@ -138,9 +143,9 @@ def verify_products(tmp_path, capsys):
          "patterns-missing-a-column", "expansion-from-g-1"],
 )
 def test_sweep_fault_fails_products(tmp_path, capsys, monkeypatch, target, name, fault, kinds, detail):
-    # no packing and no class patterns left by earlier tests
+    # no packing and no class data left by earlier tests
     monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
-    monkeypatch.setattr(intersection, "_held_patterns", (None, {}))
+    monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
     monkeypatch.setattr(target, name, fault)
     code, seen, details = verify_products(tmp_path, capsys)
     assert code == 1
@@ -168,6 +173,46 @@ def test_bug_in_the_sweep_fails_products_alone(tmp_path, capsys, monkeypatch):
     assert checks["products"]["status"] == "fail"
     assert checks["products"]["witnesses"] == [{"kind": "internal", "detail": "IndexError: no row 1"}]
     assert checks["blocks"]["status"] == checks["dimension"]["status"] == "pass"
+
+
+def basis_raising_index_error(graph, clo, gens):
+    raise IndexError(f"no generator {len(gens)}")
+
+
+def test_bug_in_a_verifier_fails_its_own_entries(tmp_path, capsys, monkeypatch):
+    # the per-field verifiers run under the names of the entries they make,
+    # so a bug in one fails each of its entries and nothing else
+    monkeypatch.setattr(cli, "verify_generator_basis", basis_raising_index_error)
+    code = main(["verify", "--m", "2", "--checks", "all", "--out", str(tmp_path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    failed = {c["name"]: c["witnesses"] for c in report["checks"] if c["status"] == "fail"}
+    fields = report["field"].split("+")
+    internal = [{"kind": "internal", "detail": "IndexError: no generator 15"}]
+    assert failed == {f"basis[{f}]": internal for f in fields}
+    assert {c["status"] for c in report["checks"]} == {"pass", "fail"}
+
+
+def closure_raising_key_error(graph, prime=None, **kwargs):
+    raise KeyError(prime)
+
+
+def test_bug_in_the_closure_fails_closure_computation(tmp_path, capsys, monkeypatch):
+    # any exception from the closure, not only a kernel error, is the
+    # `closure-computation` failure, with the closure-based checks skipped
+    monkeypatch.setattr(cli, "closure", closure_raising_key_error)
+    code = main(["verify", "--m", "2", "--checks", "all", "--out", str(tmp_path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    failed = checks.pop("closure-computation")
+    assert failed["witnesses"] == [{"kind": "internal", "detail": "KeyError: 1000000007"}]
+    assert {name for name, c in checks.items() if c["status"] == "skipped"} == {
+        "closure", "containment", "memberships", "basis",
+    }
+    assert {c["status"] for c in checks.values()} == {"pass", "skipped"}
 
 
 SIGN_FLIP = """
