@@ -30,6 +30,7 @@ from .terwilliger import (
     block_generators,
     closure,
     dimension_formula,
+    product_order_witnesses,
     verify_closure_in_generator_span,
     verify_generator_basis,
     verify_generators_in_closure,
@@ -149,9 +150,11 @@ def _check_dimension() -> CheckResult:
 
 
 def _check_closure(
-    config: RunConfig, dims: dict[str, int], missed: dict[str, tuple[str, ...]]
+    config: RunConfig, graph: OddGraph, dims: dict[str, int], missed: dict[str, tuple[str, ...]]
 ) -> CheckResult:
-    witnesses = []
+    # the product-order check needs no field and no closure, so it runs once,
+    # after the last closure is dropped
+    witnesses = product_order_witnesses(graph)
     expected = dimension_formula(config.m).binomial
     if len(set(dims.values())) > 1:
         witnesses.append({"kind": "dimension_disagreement", "dims": dims})
@@ -193,7 +196,8 @@ def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
     verifier and dropped before the next field starts, so at most one
     closure is alive at once; only the verifiers' entries, the closure's
     dimension and its `missed_words` outlive it.  The `closure` check then
-    compares the kept dimensions and reports each missed word.  Entries
+    compares the kept dimensions, reports each missed word, and checks once
+    that (A A) A equals A (A A) (`product_order_witnesses`).  Entries
     come in CHECK_NAMES order, then in field order, and the closures'
     summed time goes into the first.  Any exception raised by a closure,
     a kernel error such as divergence or a bug, gives one failing
@@ -239,7 +243,7 @@ def _closure_checks(config: RunConfig, graph: OddGraph) -> list[CheckResult]:
                 entries[name].append(_guarded(f"{entry}[{field}]", verify, graph, clo, *args))
         del clo  # before the next field's closure is computed, not after
     if "closure" in entries:
-        entries["closure"].append(_guarded("closure", _check_closure, config, dims, missed))
+        entries["closure"].append(_guarded("closure", _check_closure, config, graph, dims, missed))
     checks = [entry for name in selected for entry in entries[name]]
     checks[0].ms += int(closure_s * 1000)
     return checks

@@ -30,12 +30,15 @@ in every basis row of T, or else a list parallel to coords.  Every ambient
 coordinate is below n**2 <= 1716**2 < 2**31, so a row of T costs 4 bytes
 per entry; a coordinate outside the signed 32-bit range is refused with
 `ParameterError`.  Vectors in flight are {coordinate: value} dicts, and
-`iter_basis` hands out a fresh dict per row.  The span reduces each vector
-in one pass: it eliminates each pivot the vector meets once, because the
-stored basis is fully reduced.  One elimination pops the pivot row's
-coords out of the vector with one `map`, compares them with the multiple
-of the row as a list, and puts back only the nonzero differences.  The
-multiple of a row with one shared value is one product.  A dependent
+`iter_basis` hands out a fresh dict per row.  `rows_not_stored_in`
+compares two spaces' packed rows pivot by pivot and unpacks only the rows
+the other space does not store, so the packed format stays in this
+module.  The span reduces each vector in one pass: it eliminates each
+pivot the vector meets once, because the stored basis is fully reduced.
+One elimination pops the pivot row's coords out of the vector with one
+`map`, compares them with the multiple of the row as a list, and puts
+back only the nonzero differences.  The multiple of a row with one shared
+value is one product.  A dependent
 candidate built from T's disjoint 0/1 blocks cancels each row it meets
 exactly, so nothing goes back.  The input is copied once on the way in
 (with `dict` when its values are already in range) and never modified.
@@ -476,6 +479,26 @@ class MatrixSpace:
     def contains_vector(self, vec: dict[int, int]) -> bool:
         """True iff `vec` lies in the current span.  `vec` itself is not modified."""
         return not self._reduced(vec)
+
+    def rows_not_stored_in(self, other: "MatrixSpace"):
+        """(pivot, row) pairs, in pivot order, for each basis row of this space
+        that `other` does not store identically at the same pivot; each row is
+        a fresh {coordinate: value} dict.
+
+        A row `other` stores is one of its basis vectors, so every row left
+        out lies in span(other) with no reduction.  Both spaces keep the one
+        reduced row-echelon basis of their span, with pivot value 1, so
+        equal spans yield nothing; a row yielded may still lie in
+        span(other), and `contains_vector` decides.  The packed rows are
+        compared as stored, and none is unpacked unless it is yielded.
+        Spaces over different fields raise ParameterError.
+        """
+        if other.prime != self.prime:
+            raise ParameterError(
+                f"cannot compare a basis over {self.field_name} with one over {other.field_name}"
+            )
+        rows, held = self._rows, other._rows
+        return ((piv, _unpacked(rows[piv])) for piv in sorted(rows) if held.get(piv) != rows[piv])
 
     # -- internals ----------------------------------------------------------
 

@@ -30,7 +30,11 @@ candidate product is reduced against the basis as soon as it is formed.
 Each fact has one implementation here: `generator_span` builds the
 family's span for both the containment and the basis verifier, and every
 verifier embeds a `BlockGenerator` from its two factors, as the closure
-embeds its elements.
+embeds its elements.  Containment of the closure in that span compares the
+two reduced bases row by row (`MatrixSpace.rows_not_stored_in`) and
+reduces only the closure rows the family span does not store.
+`product_order_witnesses` compares (A A) A, whose left factor A^2 is not
+0/1, with A (A A), once per run, for the `closure` check.
 """
 
 from __future__ import annotations
@@ -321,6 +325,30 @@ def projector_factor_mismatches(graph: OddGraph) -> list[dict]:
     return witnesses
 
 
+def product_order_witnesses(graph: OddGraph) -> list[dict]:
+    """(A A) A must equal A (A A), entry by entry.
+
+    A product kernel that multiplies by the left factor's 0/1 support, not
+    by its entries, passes the `products` sweep, whose left factors are
+    0/1, and the closure: the support of a combination of intersection
+    matrices, which have disjoint 0/1 supports, is a sum of them, so every
+    wrong product still lies in T.  The left factor A^2 of (A A) A has
+    m + 1 on its diagonal and the left factors of A (A A) are 0/1, so the
+    two differ under such a kernel.  Both products have the entry bound
+    (m + 1) n and so one field width, and comparing their packed forms
+    (`IntMatrix._packed_form`) compares every entry without reading either
+    product back.  It depends on no field.
+    """
+    a = graph.adjacency()
+    a_squared = a @ a
+    # A (A A) is taken first, so the slot that keeps the last right factor's
+    # packing ends up holding A, which the graph keeps anyway, and not A^2
+    a_times_square = a @ a_squared
+    if (a_squared @ a)._packed_form() != a_times_square._packed_form():
+        return [{"kind": "product_order_mismatch", "detail": "(A A) A differs from A (A A)"}]
+    return []
+
+
 def negative_control_witnesses(graph: OddGraph, space: MatrixSpace) -> list[dict]:
     """The span must reject the single-entry matrix at ambient entry (0, class_offset(m)).
 
@@ -343,6 +371,14 @@ def verify_closure_in_generator_span(
 ) -> CheckResult:
     """Every closure basis element lies in the span of the generating family.
 
+    Both spaces keep the one reduced row-echelon basis of their span, with
+    pivot value 1, so when the spans are equal they store identical rows.
+    A closure row that the family span stores identically at the same
+    pivot is one of that span's basis vectors, so it lies in the span and
+    needs no reduction.  Only a row that differs (`rows_not_stored_in`) is
+    reduced with `contains_vector`, and one outside the span is a
+    `closure_element_outside_family_span` witness.
+
     Also checks the projector factorizations that put the closure seeds in
     that span in the first place, and that the span rejects a negative
     control.
@@ -350,7 +386,7 @@ def verify_closure_in_generator_span(
     witnesses = projector_factor_mismatches(graph)
     span, _ = generator_span(graph, gens, clo.space.prime)
     witnesses += negative_control_witnesses(graph, span)
-    for pivot, row in clo.space.iter_basis():
+    for pivot, row in clo.space.rows_not_stored_in(span):
         if not span.contains_vector(row):
             witnesses.append(
                 {

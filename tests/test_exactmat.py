@@ -472,6 +472,50 @@ def test_space_never_mutates_its_input(prime):
     assert [(piv, dict(row)) for piv, row in other.iter_basis()] == snapshot
 
 
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_spaces_of_one_span_store_no_row_apart(prime):
+    # the reduced basis is unique, so two insert orders store identical rows,
+    # values that are not all equal and Fractions included
+    rng = random.Random(47)
+    mats = [random_matrix(rng, 4, 4, density=0.4).vectorize() for _ in range(6)]
+    space, other = MatrixSpace(prime=prime), MatrixSpace(prime=prime)
+    for vec in mats:
+        space.insert_vector(vec)
+    for vec in reversed(mats):
+        other.insert_vector({c: 3 * v for c, v in vec.items()})
+    assert list(space.rows_not_stored_in(other)) == []
+    assert list(other.rows_not_stored_in(space)) == []
+    assert list(space.rows_not_stored_in(space)) == []
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_rows_not_stored_in_yields_each_differing_row_as_a_fresh_dict(prime):
+    space, other = MatrixSpace(prime=prime), MatrixSpace(prime=prime)
+    for vec in ({0: 1, 1: 1}, {2: 1}, {5: 2, 7: -4}):
+        space.insert_vector(vec)
+    for vec in ({0: 1}, {1: 1}, {2: 1}):
+        other.insert_vector(vec)
+    # pivot 0 is stored with another row, pivot 5 not at all, pivot 2 identically
+    half = -2 if prime is None else -2 % prime
+    expected = [(0, {0: 1, 1: 1}), (5, {5: 1, 7: half})]
+    differing = list(space.rows_not_stored_in(other))
+    assert differing == expected
+    for _, row in differing:
+        row.clear()
+    assert list(space.rows_not_stored_in(other)) == expected
+    assert [piv for piv, _ in space.rows_not_stored_in(MatrixSpace(prime=prime))] == [0, 2, 5]
+    assert list(MatrixSpace(prime=prime).rows_not_stored_in(space)) == []
+
+
+def test_rows_not_stored_in_refuses_spaces_over_different_fields():
+    gf_p, other_p, exact = (MatrixSpace(prime=p) for p in (*DEFAULT_PRIMES, None))
+    for space, other in ((gf_p, exact), (exact, gf_p), (gf_p, other_p)):
+        space.insert_vector({0: 1})
+        other.insert_vector({0: 1})
+        with pytest.raises(ParameterError, match="cannot compare a basis over"):
+            space.rows_not_stored_in(other)
+
+
 def test_space_dim_agrees_across_fields():
     rng = random.Random(29)
     mats = [random_matrix(rng, 4, 4, density=0.4).vectorize() for _ in range(10)]

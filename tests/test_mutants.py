@@ -30,15 +30,22 @@ Faults covered here:
   missing its largest s in every block, `embed_vector` with the roles of
   its two factors swapped or with the two class offsets of its block
   swapped, an adjacency factor table with a zero left factor at block
-  (1, 2), and `embed_vector` reversing the column order of every block two
-  or more classes off the diagonal.  The closure calls no `kron`, so only
-  `blocks` sees the swapped `kron`.  Factor roles swapped relocate the
-  closure and the generator family alike, inside each distance class, so
-  only the closure's comparison of its seeds with `graph.adjacency()` sees
-  it.  Reversed far columns move the closure and the family alike on
-  blocks that hold no seed, so only the closure's spot-check of longer
-  words sees them: A^2 meets those blocks and is missed.  The one-round
-  closure misses A^3 E_3*, and the `closure` entry names both words;
+  (1, 2), `embed_vector` reversing the column order of every block two
+  or more classes off the diagonal, and a matrix product that adds each
+  right-factor row unscaled, whatever the left entry.  The closure calls
+  no `kron`, so only `blocks` sees the swapped `kron`.  Factor roles
+  swapped relocate the closure and the generator family alike, inside
+  each distance class, so only the closure's comparison of its seeds with
+  `graph.adjacency()` sees it.  Reversed far columns move the closure and
+  the family alike on blocks that hold no seed, so only the closure's
+  spot-check of longer words sees them: A^2 meets those blocks and is
+  missed.  The one-round closure misses A^3 E_3*, and the `closure` entry
+  names both words.  Unscaled rows multiply by the left factor's 0/1
+  support instead.  The sweep's left factors are 0/1 already, and the
+  support of a combination of intersection matrices is a sum of them, so
+  every product the closure takes still lies in T and the closure still
+  spans it.  Only the `closure` entry's comparison of (A A) A, whose left
+  factor A^2 holds m + 1 on its diagonal, with A (A A) sees the fault;
 - span membership: `MatrixSpace.contains_vector` answering True for every
   vector, and an `_eliminate` that pops the pivot row's support out of the
   vector and drops the differences instead of putting them back.  Under
@@ -366,6 +373,18 @@ def factors_with_zero_left_at_1_2(m, block):
     return factors
 
 
+def matmul_adding_rows_unscaled(a, b):
+    # the kernel adding packed[k] where it should add a * packed[k], at the
+    # width the product was packed at: right whenever every left entry is 0 or 1
+    product = ORIGINAL_MATMUL(a, b)
+    if type(product._store) is not tuple:
+        return product
+    width, _ = product._store
+    packed = exactmat._packed_rows(b, width)
+    rows = {r: sum(packed[k] for k in row) for r, row in a._rows.items()}
+    return IntMatrix._wrap(a.nrows, b.ncols, (width, {r: acc for r, acc in rows.items() if acc}))
+
+
 def accepts_everything(space, vec):
     return True
 
@@ -386,42 +405,48 @@ def verify_m3_all(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "patches, failing, detail",
+    "patches, failing, witness",
     [
         ([(cli, "closure", closure_cut_to_one_round)],
          {"closure", "containment-span-in-closure[exact]", "basis[exact]"}, None),
         ([(oddgraph, "kron", kron_indices_swapped), (terwilliger, "kron", kron_indices_swapped)],
          {"blocks"}, None),
         ([(intersection, "intersection_matrix", l_mirrored), (oddgraph, "intersection_matrix", l_mirrored)],
-         {"closure-computation", "blocks", "products"}, "differs from the graph's projector"),
+         {"closure-computation", "blocks", "products"},
+         ("closure-computation", "internal", "differs from the graph's projector")),
         ([(cli, "block_generators", family_missing_largest_s)],
          {"containment-closure-in-span[exact]", "basis[exact]"}, None),
         ([(OddGraph, "embed_vector", embed_factors_swapped)],
-         {"closure-computation"}, "embedded adjacency seeds differ"),
+         {"closure-computation"}, ("closure-computation", "internal", "embedded adjacency seeds differ")),
         ([(OddGraph, "embed_vector", embed_offsets_swapped)],
-         {"closure-computation"}, "embedded adjacency seeds differ"),
+         {"closure-computation"}, ("closure-computation", "internal", "embedded adjacency seeds differ")),
         ([(MatrixSpace, "contains_vector", accepts_everything)],
          {"containment-closure-in-span[exact]", "containment-span-in-closure[exact]",
           "memberships[exact]"}, None),
         ([(oddgraph, "expected_block_factors", factors_with_zero_left_at_1_2),
           (terwilliger, "expected_block_factors", factors_with_zero_left_at_1_2)],
-         {"blocks", "closure-computation"}, "adjacency block (1, 2)"),
+         {"blocks", "closure-computation"}, ("closure-computation", "internal", "adjacency block (1, 2)")),
         ([(OddGraph, "embed_vector", embed_far_columns_reversed)], {"closure"}, None),
+        ([(IntMatrix, "__matmul__", matmul_adding_rows_unscaled)],
+         {"closure"}, ("closure", "product_order_mismatch", "(A A) A differs from A (A A)")),
     ],
     ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
          "embed-factors-swapped", "embed-offsets-swapped", "contains-always-true",
-         "factor-table-zero-left", "embed-far-columns-reversed"],
+         "factor-table-zero-left", "embed-far-columns-reversed", "matmul-left-entries-unscaled"],
 )
-def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, detail):
+def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, witness):
+    # `witness`, when given, is (entry, kind, text): that entry's one witness
+    # has that kind, and the text is in its detail
     for target, name, fault in patches:
         monkeypatch.setattr(target, name, fault)
     code, report = verify_m3_all(tmp_path, capsys)
     assert code == 1
     failed = {c["name"]: c["witnesses"] for c in report["checks"] if c["status"] == "fail"}
     assert failing <= failed.keys()
-    if detail is not None:
-        (witness,) = failed["closure-computation"]
-        assert witness["kind"] == "internal" and detail in witness["detail"]
+    if witness is not None:
+        entry, kind, text = witness
+        (seen,) = failed[entry]
+        assert seen["kind"] == kind and text in seen["detail"]
 
 
 @pytest.mark.parametrize(

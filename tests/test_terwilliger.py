@@ -26,7 +26,7 @@ from oddterw import (
 )
 from oddterw.combinatorics import intersection_range
 from oddterw.oddgraph import DEFAULT_MAX_M
-from oddterw.terwilliger import _range_sizes, projector_factor_mismatches
+from oddterw.terwilliger import ClosureResult, _range_sizes, projector_factor_mismatches
 from paper_readings import block_generators_by_parity, disjoint_product_expansion
 
 
@@ -345,6 +345,49 @@ def test_span_accepting_everything_fails_each_containment_check(monkeypatch, gra
         assert result.status == "fail"
         assert result.witnesses == [{"kind": "negative_control_accepted", "coordinate": 4}]
         assert result.params["negative_controls"] == 1
+
+
+def recording_contains(monkeypatch):
+    """Record the vector of every `contains_vector` call, then answer as before."""
+    calls, original = [], MatrixSpace.contains_vector
+
+    def contains(space, vec):
+        calls.append(dict(vec))
+        return original(space, vec)
+
+    monkeypatch.setattr(MatrixSpace, "contains_vector", contains)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_closure_in_span_reduces_no_row_the_family_stores(
+    monkeypatch, graph_factory, closure_factory, m, prime
+):
+    # the closure's reduced basis is the family's, so every closure row is
+    # shared and the negative control is the only reduction left
+    g, clo = graph_factory(m), closure_factory(m, prime)
+    calls = recording_contains(monkeypatch)
+    result = verify_closure_in_generator_span(g, clo, block_generators(m))
+    assert result.status == "pass"
+    assert calls == [{g.class_offset(m): 1}]
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIMES[0], None])
+def test_closure_row_the_family_does_not_store_is_reduced(monkeypatch, graph_factory, prime):
+    # a proper subspace of T whose one row, the sum of two generators on one
+    # block, is no row of the family span, but lies in it
+    g = graph_factory(2)
+    first, second = [gen for gen in block_generators(2) if gen.block == (1, 1)][:2]
+    vec = g.embed_vector(first.left.build(), first.right.build(), first.block)
+    vec.update(g.embed_vector(second.left.build(), second.right.build(), second.block))
+    space = MatrixSpace(prime=prime)
+    space.insert_vector(vec)
+    clo = ClosureResult(space=space, dimension=1, rounds=0, products_computed=0, missed_words=())
+    calls = recording_contains(monkeypatch)
+    result = verify_closure_in_generator_span(g, clo, block_generators(2))
+    assert result.status == "pass"
+    assert calls == [{g.class_offset(2): 1}, vec]
 
 
 def test_adjacency_in_generator_span(graph_factory):
