@@ -9,13 +9,19 @@ No floating point is used anywhere in this module.
 packs each row of the right factor into a single Python integer, one
 fixed-width bit field per column, wide enough for every entry of the
 product, so a result row costs one big-integer add per nonzero of the left
-row.  A field is 8, 16, 32 or 64 bits wide; a product that would need a
-wider one is refused with `ParameterError` (the largest bound any check
-reaches is 12012, at m = 6).  `_pack` is the one packing loop, for right
-factors and for the class patterns of `decompose_product` alike.  The
-product keeps its integers with their field width, and reads its rows
-back, through `int.to_bytes` and a signed `array`, only when something
-first reads them; `decompose_product` compares the integers themselves
+row.  It has two loops, chosen from the left factor's entries: when every
+entry is 1, as in every intersection matrix and so in every left factor of
+the `products` sweep, each nonzero adds its packed right row as it is;
+any other left factor takes the loop that scales that row by the entry.
+Each matrix decides this once, on its first use as a left factor, and
+keeps the answer beside its max |entry|.  A field is 8, 16, 32 or 64 bits
+wide; a product that would need a wider one is refused with
+`ParameterError` (the largest bound any check reaches is 12012, at
+m = 6).  `_pack` is the one packing loop, for right factors and for the
+class patterns of `decompose_product` alike.  The product keeps its
+integers with their field width, and reads its rows back, through
+`int.to_bytes` and a signed `array`, only when something first reads
+them; `decompose_product` compares the integers themselves
 (`IntMatrix._packed_form`) and never reads a sweep product back.  One
 module-level slot holds the last right factor with its field width and
 packed rows, as a tuple replaced whole; a product whose right factor is
@@ -53,10 +59,10 @@ still meets a pivot raises `EliminationDivergenceError`, so a broken field
 kernel fails instead of overwriting a basis row or answering wrongly.
 
 IntMatrix values are immutable after construction and safe to share between
-threads; the cached max |entry|, the packing slot and a product's one
-storage slot are each written whole, so concurrent products at worst
-compute one of them twice, and concurrent readers of a product still held
-packed at worst read its rows back twice.  MatrixSpace is
+threads; the cached max |entry| and all-ones answer, the packing slot and
+a product's one storage slot are each written whole, so concurrent
+products at worst compute one of them twice, and concurrent readers of a
+product still held packed at worst read its rows back twice.  MatrixSpace is
 single-writer: readers are fine once insertion stops, but concurrent
 insertions must be serialized by the caller.
 """
@@ -104,7 +110,7 @@ class IntMatrix:
     modified in place.
     """
 
-    __slots__ = ("nrows", "ncols", "_store", "_max")
+    __slots__ = ("nrows", "ncols", "_store", "_max", "_ones")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
@@ -119,7 +125,7 @@ class IntMatrix:
                 if v:
                     rows.setdefault(r, {})[c] = v
         self._store = rows
-        self._max = None
+        self._max = self._ones = None
 
     @classmethod
     def _wrap(cls, nrows: int, ncols: int, rows) -> "IntMatrix":
@@ -130,7 +136,7 @@ class IntMatrix:
         m.nrows = nrows
         m.ncols = ncols
         m._store = rows
-        m._max = None
+        m._max = m._ones = None
         return m
 
     @property
@@ -218,11 +224,14 @@ class IntMatrix:
         bound raises ParameterError.
         A result row is the sum of a * packed[k] over the nonzeros a at
         (row, k): the integer with the row's entries as its base-2**W
-        digits.  The product keeps W and these integers, one per nonzero
-        row, as they are; its rows are read back (`_read_back`) only when
-        something first reads them, and a caller that needs only the
-        packing (`decompose_product`, through `_packed_form`) never pays
-        for it.
+        digits.  Two loops form it, chosen from the entries of `self`: when
+        every one is 1 (`_all_ones`, decided on first use and kept), each
+        nonzero adds packed[k] as it is, with no entry read; otherwise each
+        adds a * packed[k], or packed[k] where a is 1.  The product keeps W
+        and these integers, one per nonzero row, as they are; its rows are
+        read back (`_read_back`) only when something first reads them, and
+        a caller that needs only the packing (`decompose_product`, through
+        `_packed_form`) never pays for it.
 
         The packed rows of the last right factor are kept in one slot, and
         a product whose right factor is that same object, at the same W,
@@ -236,13 +245,23 @@ class IntMatrix:
             return IntMatrix._wrap(self.nrows, ncols, {})
         width = 8 * _field_bytes(self._max_abs() * other._max_abs() * self.ncols)
         packed = _packed_rows(other, width)
+        if self._ones is None:  # decided on first use as a left factor, and kept
+            self._ones = _all_ones(left)
         rows = {}
-        for r, row in left.items():
-            acc = 0
-            for k, a in row.items():
-                acc += packed[k] if a == 1 else a * packed[k]
-            if acc:  # base-2**W digits in range are unique: a zero row packs to 0
-                rows[r] = acc
+        if self._ones:
+            for r, row in left.items():
+                acc = 0
+                for k in row:
+                    acc += packed[k]
+                if acc:  # base-2**W digits in range are unique: a zero row packs to 0
+                    rows[r] = acc
+        else:
+            for r, row in left.items():
+                acc = 0
+                for k, a in row.items():
+                    acc += packed[k] if a == 1 else a * packed[k]
+                if acc:
+                    rows[r] = acc
         return IntMatrix._wrap(self.nrows, ncols, (width, rows))
 
     def _max_abs(self) -> int:
@@ -263,6 +282,11 @@ class IntMatrix:
         """Row-major flattening: coordinate r*ncols + c maps to the entry value."""
         ncols = self.ncols
         return {r * ncols + c: v for r, row in self._rows.items() for c, v in row.items()}
+
+
+def _all_ones(rows: dict) -> bool:
+    """Whether every value of the row dicts `rows` is 1."""
+    return {1}.issuperset(chain.from_iterable(map(dict.values, rows.values())))
 
 
 def _field_bytes(bound: int) -> int:

@@ -101,21 +101,29 @@ def block_generators(m: int) -> list[BlockGenerator]:
 DimensionIdentity = namedtuple("DimensionIdentity", "block_sum binomial")
 
 
-def _range_sizes(i: int, v: int) -> list[int]:
-    """|intersection_range(i, j, v)| for j = 0..v, that is min(i, j, v - i, v - j) + 1.
+def _range_tail(i: int, v: int) -> list[int]:
+    """|intersection_range(i, j, v)| for j = i..v, that is min(i, v - j) + 1.
 
-    With c = min(i, v - i) the row rises 1..c, holds c + 1, and falls c..1.
+    For j >= i, min(i, j, v - i, v - j) is min(i, v - j): the tail holds
+    i + 1 while j <= v - i, then falls to 1.
     """
-    c = min(i, v - i)
-    return [*range(1, c + 1), *repeat(c + 1, v + 1 - 2 * c), *range(c, 0, -1)]
+    return [*repeat(i + 1, v + 1 - 2 * i), *range(min(i, v + 1 - i), 0, -1)]
 
 
 def _block_dimension_sum(m: int) -> int:
     # sum over blocks (i, j) of |range(m-i, m-j, m)| * |range(i, j, m+1)|.
-    # Complementing both subsets leaves the left size unchanged, so row i of
-    # the left sizes is _range_sizes(i, m); `map` stops after its m + 1
-    # terms, dropping j = m + 1 from the right row.
-    return sum(sum(map(mul, _range_sizes(i, m), _range_sizes(i, m + 1))) for i in range(m + 1))
+    # Complementing both subsets leaves the left size unchanged, so it is
+    # |range(i, j, m)|, and both sizes are symmetric in (i, j): the sum is
+    # twice the sum over j >= i, less the diagonal.  Row i's terms j = i..m
+    # are _range_tail(i, m) times _range_tail(i, m + 1); `map` stops after
+    # the left tail's m - i + 1 terms, dropping j = m + 1 from the right.
+    # The tails are built for each m and not kept.
+    total = diagonal = 0
+    for i in range(m + 1):
+        left, right = _range_tail(i, m), _range_tail(i, m + 1)
+        total += sum(map(mul, left, right))
+        diagonal += left[0] * right[0]
+    return 2 * total - diagonal
 
 
 def dimension_formula(m: int) -> DimensionIdentity:

@@ -156,6 +156,67 @@ def test_matmul_empty_shapes(n, k, m):
     assert assert_matmul_matches_dense(random_sparse(rng, n, k), random_sparse(rng, k, m)).is_zero()
 
 
+# The kernel has two loops, chosen once per left factor: one adds packed[k]
+# for each nonzero of a left factor whose entries are all 1, the other scales
+# packed[k] by the entry.  Each left factor below sits on one side of that choice.
+
+
+def with_values(rng, nrows, ncols, values):
+    # about half the entries drawn from `values`, and entry (0, 0) its last one
+    entries = {(r, c): rng.choice(values) for r in range(nrows) for c in range(ncols) if rng.random() < 0.5}
+    return IntMatrix(nrows, ncols, {**entries, (0, 0): values[-1]})
+
+
+def permutation(rng, n):
+    return IntMatrix(n, n, {(r, c): 1 for r, c in enumerate(rng.sample(range(n), n))})
+
+
+# (factory, whether every entry is 1, whether it is a product still held packed)
+LEFT_FACTORS = {
+    "all-ones": (lambda rng, n, k: with_values(rng, n, k, (1,)), True, False),
+    "max-one-with-minus-one": (lambda rng, n, k: with_values(rng, n, k, (1, 1, -1)), False, False),
+    "ones-and-twos": (lambda rng, n, k: with_values(rng, n, k, (1, 2)), False, False),
+    # a permutation of the rows keeps the entries
+    "packed-product-of-ones": (
+        lambda rng, n, k: permutation(rng, n) @ with_values(rng, n, k, (1,)), True, True),
+    "packed-product-of-ones-and-twos": (
+        lambda rng, n, k: permutation(rng, n) @ with_values(rng, n, k, (1, 2)), False, True),
+}
+
+
+@pytest.mark.parametrize("make, ones, packed", LEFT_FACTORS.values(), ids=LEFT_FACTORS)
+def test_matmul_matches_dense_on_each_side_of_the_ones_choice(make, ones, packed):
+    rng = random.Random(73)
+    for _ in range(20):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a, b = make(rng, n, k), with_values(rng, k, m, (-3, -1, 2, 5))
+        assert (type(a._store) is tuple) is packed
+        product = a @ b  # before anything else reads `a`
+        assert dense(product) == dense_matmul(dense(a), dense(b), m)
+        assert a._ones is ones
+
+
+def test_ones_choice_is_made_once_per_left_factor(monkeypatch):
+    calls = []
+    all_ones = exactmat._all_ones
+
+    def counted(rows):
+        calls.append(rows)
+        return all_ones(rows)
+
+    monkeypatch.setattr(exactmat, "_all_ones", counted)
+    rng = random.Random(79)
+    checker = {(r, c): 1 for r in range(5) for c in range(4) if (r + c) % 2 == 0}
+    lefts = [IntMatrix(5, 4, checker), IntMatrix(5, 4, {**checker, (0, 0): 2})]
+    rights = [with_values(rng, 4, 6, (-3, -1, 2, 5)) for _ in range(3)]
+    for a in lefts:
+        for b in rights:
+            assert_matmul_matches_dense(a, b)
+    # once per left factor, on its rows; never on a right factor
+    assert [id(rows) for rows in calls] == [id(a._rows) for a in lefts]
+    assert [a._ones for a in lefts] == [True, False]
+
+
 def assert_matmul_refused(a, b):
     """`a @ b` needs a field past 64 bits: ParameterError, before anything is packed."""
     held = exactmat._last_packed

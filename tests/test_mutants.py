@@ -30,22 +30,27 @@ Faults covered here:
   missing its largest s in every block, `embed_vector` with the roles of
   its two factors swapped or with the two class offsets of its block
   swapped, an adjacency factor table with a zero left factor at block
-  (1, 2), `embed_vector` reversing the column order of every block two
-  or more classes off the diagonal, and a matrix product that adds each
-  right-factor row unscaled, whatever the left entry.  The closure calls
-  no `kron`, so only `blocks` sees the swapped `kron`.  Factor roles
-  swapped relocate the closure and the generator family alike, inside
-  each distance class, so only the closure's comparison of its seeds with
-  `graph.adjacency()` sees it.  Reversed far columns move the closure and
-  the family alike on blocks that hold no seed, so only the closure's
-  spot-check of longer words sees them: A^2 meets those blocks and is
-  missed.  The one-round closure misses A^3 E_3*, and the `closure` entry
-  names both words.  Unscaled rows multiply by the left factor's 0/1
-  support instead.  The sweep's left factors are 0/1 already, and the
-  support of a combination of intersection matrices is a sum of them, so
-  every product the closure takes still lies in T and the closure still
-  spans it.  Only the `closure` entry's comparison of (A A) A, whose left
-  factor A^2 holds m + 1 on its diagonal, with A (A A) sees the fault;
+  (1, 2), `embed_vector` reversing the column order of every block two or
+  more classes off the diagonal, a matrix product that adds each right-factor
+  row unscaled, whatever the left entry, and the product kernel's choice
+  of loop (`exactmat._all_ones`) answering True for every left factor,
+  which sends every product through the loop for all-ones left factors and
+  so adds the same unscaled rows.  The closure calls no `kron`, so only
+  `blocks` sees the swapped `kron`.  Factor roles swapped relocate the
+  closure and the generator family alike, inside each distance class, so
+  only the closure's comparison of its seeds with `graph.adjacency()` sees
+  it.  Reversed far columns move the closure and the family alike on
+  blocks that hold no seed, so only the closure's spot-check of longer
+  words sees them: A^2 meets those blocks and is missed.  The one-round
+  closure misses A^3 E_3*, and the `closure` entry names both words.
+  Unscaled rows multiply by the left factor's 0/1 support instead.  The
+  sweep's left factors are 0/1 already, and the support of a combination
+  of intersection matrices is a sum of them, so every product the closure
+  takes still lies in T and the closure still spans it.  The `products`
+  sweep cannot see either fault at all: its left factors are all-ones
+  matrices and take that loop anyway.  Only the `closure` entry's
+  comparison of (A A) A, whose left factor A^2 holds m + 1 on its
+  diagonal, with A (A A) sees either fault;
 - span membership: `MatrixSpace.contains_vector` answering True for every
   vector, and an `_eliminate` that pops the pivot row's support out of the
   vector and drops the differences instead of putting them back.  Under
@@ -385,6 +390,12 @@ def matmul_adding_rows_unscaled(a, b):
     return IntMatrix._wrap(a.nrows, b.ncols, (width, {r: acc for r, acc in rows.items() if acc}))
 
 
+def every_left_factor_all_ones(rows):
+    # the kernel's choice of loop answering True for every left factor, so
+    # each nonzero adds packed[k] unscaled
+    return True
+
+
 def accepts_everything(space, vec):
     return True
 
@@ -429,10 +440,13 @@ def verify_m3_all(tmp_path, capsys):
         ([(OddGraph, "embed_vector", embed_far_columns_reversed)], {"closure"}, None),
         ([(IntMatrix, "__matmul__", matmul_adding_rows_unscaled)],
          {"closure"}, ("closure", "product_order_mismatch", "(A A) A differs from A (A A)")),
+        ([(exactmat, "_all_ones", every_left_factor_all_ones)],
+         {"closure"}, ("closure", "product_order_mismatch", "(A A) A differs from A (A A)")),
     ],
     ids=["closure-one-round", "kron-index-swap", "l-mirrored", "family-missing-one-s",
          "embed-factors-swapped", "embed-offsets-swapped", "contains-always-true",
-         "factor-table-zero-left", "embed-far-columns-reversed", "matmul-left-entries-unscaled"],
+         "factor-table-zero-left", "embed-far-columns-reversed", "matmul-left-entries-unscaled",
+         "matmul-ones-loop-for-every-left"],
 )
 def test_closure_fault_fails_verify(tmp_path, capsys, monkeypatch, patches, failing, witness):
     # `witness`, when given, is (entry, kind, text): that entry's one witness

@@ -26,7 +26,12 @@ from oddterw import (
 )
 from oddterw.combinatorics import intersection_range
 from oddterw.oddgraph import DEFAULT_MAX_M
-from oddterw.terwilliger import ClosureResult, _range_sizes, projector_factor_mismatches
+from oddterw.terwilliger import (
+    ClosureResult,
+    _block_dimension_sum,
+    _range_tail,
+    projector_factor_mismatches,
+)
 from paper_readings import block_generators_by_parity, disjoint_product_expansion
 
 
@@ -592,8 +597,9 @@ def test_dimension_formula_sweep():
 
 
 def test_block_dimension_rows_match_intersection_ranges():
-    # every term of the block sum for m <= 200: row i of the left sizes is
-    # |range(m-i, m-j, m)| and of the right sizes |range(i, j, m+1)|, j = 0..m
+    # every term of the half-triangle block sum for m <= 200: the tail of
+    # row i, j = i..v, holds |range(m-i, m-j, m)| on the left (v = m) and
+    # |range(i, j, m+1)| on the right (v = m + 1)
     def sizes(v):
         return [[len(intersection_range(a, b, v)) for b in range(v + 1)] for a in range(v + 1)]
 
@@ -601,8 +607,19 @@ def test_block_dimension_rows_match_intersection_ranges():
     for m in range(1, 201):
         lower, upper = upper, sizes(m + 1)
         for i in range(m + 1):
-            assert _range_sizes(i, m) == lower[m - i][::-1]
-            assert _range_sizes(i, m + 1)[: m + 1] == upper[i][: m + 1]
+            assert _range_tail(i, m) == lower[m - i][::-1][i:]
+            assert _range_tail(i, m + 1) == upper[i][i:]
+
+
+def test_block_dimension_sum_matches_the_full_double_sum():
+    # the half-triangle sum against the plain sum over all (i, j) blocks
+    for m in range(1, 201):
+        full = sum(
+            len(intersection_range(m - i, m - j, m)) * len(intersection_range(i, j, m + 1))
+            for i in range(m + 1)
+            for j in range(m + 1)
+        )
+        assert _block_dimension_sum(m) == full, m
 
 
 def test_dimension_formula_rejects_bad_m():
