@@ -18,14 +18,15 @@ of the span holds there, the class values read from row 0 times the class
 patterns of that row.  The class of entry (r, c) is the popcount of the
 AND of the bit masks of subsets r and c, taken from `SubsetIndex.subsets()`
 and not from the intersection matrices, so a wrong `intersection_matrix`
-cannot vouch for itself.  The class data of each (v, i, k) and field
-width, the place of each class in a row sorted by class, the first column
-of each class in row 0 and the packed class patterns, is built once and
-kept for one (v, k) at a time; no per-row column order is kept, and a
-faulty row's order is computed from the masks again.  The loops take
-(k, j, s) outside and (i, l) inside: each right factor H(j, k, s, v) then
-serves a run of consecutive products, and the kernel packs it once for
-the whole run, and every i of one k comes before the next k.
+cannot vouch for itself.  Each row's classes are read as one map,
+{class: its columns}.  The class data of each (v, i, k) and field width,
+keyed by class, the first column of each class in row 0 and the packed
+class patterns, is built from those maps once and kept for one (v, k) at a
+time; no row's map is kept, and a faulty row's map is read from the masks
+again.  The loops take (k, j, s) outside and (i, l) inside: each right
+factor H(j, k, s, v) then serves a run of consecutive products, and the
+kernel packs it once for the whole run, and every i of one k comes before
+the next k.
 
 All functions here are safe for unsynchronized concurrent use.  The one
 module-level cache, the class data of the last (v, k), only gains entries
@@ -52,10 +53,6 @@ class HSpec:
     j: int
     l: int
     v: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (binomial(self.v, self.i), binomial(self.v, self.j))
 
     def build(self) -> IntMatrix:
         return intersection_matrix(self.i, self.j, self.l, self.v)
@@ -134,33 +131,33 @@ def _subset_masks(v: int, size: int) -> list[int]:
     return [sum(1 << e for e in s) for s in SubsetIndex(v, size).subsets()]
 
 
-def _class_order(row_mask: int, col_masks: list[int]) -> tuple[list[int], list[int]]:
-    """(classes, order) of one row: the class of each column, the popcount
-    of the AND of the two subsets' masks, and the columns sorted by class,
-    ascending within a class."""
-    classes = [(row_mask & col_mask).bit_count() for col_mask in col_masks]
-    return classes, sorted(range(len(col_masks)), key=classes.__getitem__)
+def _row_classes(row_mask: int, col_masks: list[int]) -> dict[int, list[int]]:
+    """{class g: its columns, ascending} for one row: the class of a column
+    is the popcount of the AND of the two subsets' masks."""
+    classes = {}
+    for c, col_mask in enumerate(col_masks):
+        classes.setdefault((row_mask & col_mask).bit_count(), []).append(c)
+    return classes
 
 
-# The class data of one (v, k): ((v, k), {(i, W): (segments, firsts, patterns)}).
+# The class data of one (v, k): ((v, k), {(i, W): (firsts, patterns)}).
 # Data for another (v, k) replaces the pair whole, so the sweep, which runs
 # every i inside each k, holds one column size's data at a time.
 _class_data_held: tuple = (None, {})
 
 
 def _class_data(v: int, i: int, k: int, width: int) -> tuple:
-    """(segments, firsts, patterns) for reading a C(v, i) x C(v, k) product class by class.
+    """(firsts, patterns) for reading a C(v, i) x C(v, k) product class by class.
 
-    The class of entry (r, c) is read from the masks of `_subset_masks`
-    (`_class_order`).  `segments` lists (g, start, stop) for each class g
-    in `intersection_range(i, k, v)`: where its C(i, g) * C(v - i, k - g)
-    columns sit in a row sorted by class.  `firsts` holds the first column
-    of each class in row 0.  `patterns` holds one list per class g, whose
-    item r is row r of the 0/1 matrix M[g] that is 1 exactly on class g,
-    packed at `width` by `_pack`, so a member of the span with value x_g
-    on class g packs to sum_g x_g * M[g][r] in row r.  Raises
-    ParameterError when a row's class sizes differ from these, as they do
-    for any class outside that range.
+    Both are keyed by the classes g of `intersection_range(i, k, v)`, in
+    ascending order.  `firsts[g]` is the first column of class g in row 0.
+    `patterns[g]` holds one item per row r: row r of the 0/1 matrix M[g]
+    that is 1 exactly on class g, packed at `width` by `_pack`, so a member
+    of the span with value x_g on class g packs to sum_g x_g * M[g][r] in
+    row r.  The classes of each row are read from the masks of
+    `_subset_masks` (`_row_classes`).  Raises ParameterError when a row's
+    class sizes differ from C(i, g) * C(v - i, k - g), as they do for any
+    class outside that range.
     """
     global _class_data_held
     key, held = _class_data_held
@@ -170,28 +167,23 @@ def _class_data(v: int, i: int, k: int, width: int) -> tuple:
     data = held.get((i, width))
     if data is not None:
         return data
-    segments, profile = [], []
-    for g in intersection_range(i, k, v):
-        size = binomial(i, g) * binomial(v - i, k - g)
-        segments.append((g, len(profile), len(profile) + size))
-        profile += [g] * size
+    sizes = {g: binomial(i, g) * binomial(v - i, k - g) for g in intersection_range(i, k, v)}
     col_masks = _subset_masks(v, k)
-    patterns = [[] for _ in segments]
+    patterns = {g: [] for g in sizes}
     for r, row_mask in enumerate(_subset_masks(v, i)):
-        classes, order = _class_order(row_mask, col_masks)
-        if sorted(classes) != profile:
-            g = next(g for g in range(v + 1) if classes.count(g) != profile.count(g))
+        classes = _row_classes(row_mask, col_masks)
+        g = next((g for g in range(v + 1) if len(classes.get(g, ())) != sizes.get(g, 0)), None)
+        if g is not None:
             raise ParameterError(
-                f"row {r} meets {classes.count(g)} columns in {g} points, not "
-                f"{profile.count(g)}, for subset sizes ({i}, {k}) of a {v}-set"
+                f"row {r} meets {len(classes.get(g, ()))} columns in {g} points, not "
+                f"{sizes.get(g, 0)}, for subset sizes ({i}, {k}) of a {v}-set"
             )
         if r == 0:
-            firsts = [order[start] for _, start, _ in segments]
+            firsts = {g: classes[g][0] for g in sizes}
         # row r of every class's pattern, packed as the rows of one matrix
-        ones = {g: dict.fromkeys(order[start:stop], 1) for g, start, stop in segments}
-        for pattern, word in zip(patterns, _pack(ones, width, {}).values()):
-            pattern.append(word)
-    data = held[(i, width)] = (segments, firsts, patterns)
+        for g, word in _pack({g: dict.fromkeys(classes[g], 1) for g in sizes}, width, {}).items():
+            patterns[g].append(word)
+    data = held[(i, width)] = (firsts, patterns)
     return data
 
 
@@ -213,45 +205,41 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     signed base-2**W digits are unique and equal integers mean equal rows:
     every entry is compared.  A product of `IntMatrix.__matmul__` is read
     in the packing the kernel built and is left packed; a row that differs
-    is read back, and its class order computed from the masks again, only
-    to name the fault.  Raises ParameterError if `product` is not constant
-    on intersection classes, i.e. not in the span of the family at all.
+    is read back, and its classes read from the masks again, only to name
+    the fault.  Raises ParameterError if `product` is not constant on
+    intersection classes, i.e. not in the span of the family at all.
     """
     nrows, ncols = binomial(v, i), binomial(v, k)
     if product.shape != (nrows, ncols):
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
     width, packed = product._packed_form()
-    segments, firsts, patterns = _class_data(v, i, k, width)
+    firsts, patterns = _class_data(v, i, k, width)
     first = _read_back(width, {0: packed.get(0, 0)}, ncols)[0]
-    values = list(map(first.get, firsts))
+    values = {g: first.get(c) for g, c in firsts.items()}
     expected = [0] * nrows  # sum_g x_g * M[g][r] for each row r
-    for pattern, value in zip(patterns, values):
+    for g, value in values.items():
         if value is not None:
+            pattern = patterns[g]
             scaled = pattern if value == 1 else map(mul, pattern, itertools.repeat(value))
             expected = list(map(add, expected, scaled))
     got = list(map(packed.get, range(nrows), itertools.repeat(0)))
     if got != expected:
         r = next(r for r, (x, y) in enumerate(zip(got, expected)) if x != y)
         row = _read_back(width, {r: got[r]}, ncols)[r]
-        _, order = _class_order(_subset_masks(v, i)[r], _subset_masks(v, k))
-        raise _class_fault(list(map(row.get, order)), segments, values, r)
-    return {g: value for (g, _, _), value in zip(segments, values) if value is not None}
+        raise _class_fault(row, _row_classes(_subset_masks(v, i)[r], _subset_masks(v, k)), values, r)
+    return {g: value for g, value in values.items() if value is not None}
 
 
-def _class_fault(got: list, segments: list, values: list, r: int) -> ParameterError:
-    """The error for row r, read in class order as `got`, where it differs from row 0."""
-    differs = next(
-        (
-            (g, start, stop, want)
-            for (g, start, stop), want in zip(segments, values)
-            if got[start:stop] != [want] * (stop - start)
-        ),
-        None,
-    )
-    if differs is None:  # only a wrong class pattern gets here
+def _class_fault(row: dict, classes: dict, values: dict, r: int) -> ParameterError:
+    """The error for row r, read back as `row` and split by `classes`, where
+    it differs from the class values `values` read in row 0."""
+    for g, want in values.items():
+        got = list(map(row.get, classes[g]))
+        if got != [want] * len(got):
+            break
+    else:  # only a wrong class pattern gets here
         return ParameterError(f"row {r} reads class-constant but differs from its class pattern")
-    g, start, stop, want = differs
-    found = [x for x in got[start:stop] if x is not None]
+    found = [x for x in got if x is not None]
     held = want if want is not None else found[0]
     other = next((x for x in found if x != held), None)
     if other is not None:
@@ -260,9 +248,9 @@ def _class_fault(got: list, segments: list, values: list, r: int) -> ParameterEr
         )
     # every pair in class g must carry the value, otherwise part of the class
     # is zero and the matrix is outside the span
-    against = "" if r == 0 else f", against {0 if want is None else stop - start} in row 0"
+    against = "" if r == 0 else f", against {0 if want is None else len(got)} in row 0"
     return ParameterError(
-        f"class {g} only partially covered in row {r} ({len(found)} of {stop - start}{against})"
+        f"class {g} only partially covered in row {r} ({len(found)} of {len(got)}{against})"
     )
 
 
@@ -287,7 +275,6 @@ def product_formula_failures(v: int) -> list[dict]:
                 right = intersection_matrix(j, k, s, v)
                 for i in range(v + 1):
                     for l in intersection_range(i, j, v):
-                        expansion = product_expansion(i, j, k, l, s, v)
                         try:
                             # the product is not bound to a name, so it is
                             # freed before the next one is computed
@@ -295,21 +282,12 @@ def product_formula_failures(v: int) -> list[dict]:
                                 intersection_matrix(i, j, l, v) @ right, i, k, v
                             )
                         except ParameterError as exc:
-                            failures.append(
-                                {
-                                    "kind": "product_not_class_constant",
-                                    "v": v, "i": i, "j": j, "k": k, "l": l, "s": s,
-                                    "detail": str(exc),
-                                }
-                            )
-                            continue
-                        if decomposition != expansion:
-                            failures.append(
-                                {
-                                    "kind": "expansion_mismatch",
-                                    "v": v, "i": i, "j": j, "k": k, "l": l, "s": s,
-                                    "expansion": expansion,
-                                    "decomposition": decomposition,
-                                }
-                            )
+                            kind, found = "product_not_class_constant", {"detail": str(exc)}
+                        else:
+                            expansion = product_expansion(i, j, k, l, s, v)
+                            if decomposition == expansion:
+                                continue
+                            kind = "expansion_mismatch"
+                            found = {"expansion": expansion, "decomposition": decomposition}
+                        failures.append({"kind": kind, "v": v, "i": i, "j": j, "k": k, "l": l, "s": s, **found})
     return failures

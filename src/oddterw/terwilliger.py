@@ -320,6 +320,15 @@ def projector_factor_mismatches(graph: OddGraph) -> list[dict]:
 
     E_d* must equal the Kronecker product of its two factors on the block
     (d, d) and vanish everywhere else.
+
+    Inside `verify` this can never report: `closure` compares every
+    embedded projector seed with `graph.dual_idempotent(d)` entry by entry
+    first, and a projector that differs fails `closure-computation`, which
+    skips containment.  What it still catches is a fault in `kron` or
+    `OddGraph.extract_block`, neither of which the closure calls.  It stays
+    only because it is the one caller of `exactmat.kron` on a closure-only
+    run, whose traced layers must include `kron`; it goes when that list
+    of layers is next re-pinned.
     """
     witnesses = []
     for d in range(graph.m + 1):

@@ -104,7 +104,7 @@ def test_transpose_symmetry():
 
 def test_hspec_helpers():
     spec = HSpec(2, 3, 1, 5)
-    assert spec.shape == (10, 10)
+    assert spec.build().shape == (10, 10)
     assert spec.build() == intersection_matrix(2, 3, 1, 5)
     assert "i=2" in spec.label()
 
@@ -170,6 +170,27 @@ def test_decompose_product_validates_class_constancy():
         decompose_product(IntMatrix.zeros(3, 3), 1, 1, 4)  # wrong shape
 
 
+def complement_masks(monkeypatch):
+    original = intersection._subset_masks
+    monkeypatch.setattr(
+        intersection, "_subset_masks", lambda v, size: [((1 << v) - 1) ^ mask for mask in original(v, size)]
+    )
+
+
+def doubled_patterns(monkeypatch):
+    # every class pattern packed at twice its value: a class-constant row then
+    # differs from the pattern row 0 gives it
+    original = intersection._pack
+
+    def doubled(rows, width, packed):
+        packed = original(rows, width, packed)
+        for r in rows:
+            packed[r] *= 2
+        return packed
+
+    monkeypatch.setattr(intersection, "_pack", doubled)
+
+
 def test_decompose_product_reads_classes_from_the_current_masks(monkeypatch):
     # complement masks move each class g of a product with (i, k) = (1, 2)
     # at v = 4 to g + 1, leaving class 0 empty and class 2 outside the range,
@@ -177,10 +198,8 @@ def test_decompose_product_reads_classes_from_the_current_masks(monkeypatch):
     # real masks still serve
     product = intersection_matrix(1, 2, 1, 4) @ intersection_matrix(2, 2, 2, 4)
     assert decompose_product(product, 1, 2, 4) == {1: 1}
-    original = intersection._subset_masks
-    complements = lambda v, size: [((1 << v) - 1) ^ mask for mask in original(v, size)]
     monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
-    monkeypatch.setattr(intersection, "_subset_masks", complements)
+    complement_masks(monkeypatch)
     with pytest.raises(ParameterError, match="row 0 meets 0 columns in 0 points, not 3"):
         decompose_product(product, 1, 2, 4)
     monkeypatch.undo()
@@ -189,6 +208,42 @@ def test_decompose_product_reads_classes_from_the_current_masks(monkeypatch):
 
 def test_decompose_product_reads_identity():
     assert decompose_product(IntMatrix.identity(4), 1, 1, 4) == {1: 1}
+
+
+IDENTITY_4 = {(r, r): 1 for r in range(4)}
+
+
+@pytest.mark.parametrize(
+    "matrix, i, k, v, fault, text",
+    [
+        (IntMatrix(4, 4, {(0, 1): 2, (0, 2): 3}), 1, 1, 4, None,
+         "not constant on intersection classes: class 0 holds both 2 and 3"),
+        (IntMatrix(4, 4, {(0, 1): 2}), 1, 1, 4, None,
+         "class 0 only partially covered in row 0 (1 of 3)"),
+        (IntMatrix(4, 4, {key: 1 for key in IDENTITY_4 if key != (2, 2)}), 1, 1, 4, None,
+         "class 1 only partially covered in row 2 (0 of 1, against 1 in row 0)"),
+        (IntMatrix(4, 4, {**IDENTITY_4, (2, 0): 1}), 1, 1, 4, None,
+         "class 0 only partially covered in row 2 (1 of 3, against 0 in row 0)"),
+        (intersection_matrix(1, 2, 1, 4), 1, 2, 4, complement_masks,
+         "row 0 meets 0 columns in 0 points, not 3, for subset sizes (1, 2) of a 4-set"),
+        (IntMatrix(4, 4, IDENTITY_4), 1, 1, 4, doubled_patterns,
+         "row 0 reads class-constant but differs from its class pattern"),
+        (IntMatrix(4, 4, IDENTITY_4), 1, 2, 4, None,
+         "shape (4, 4) does not match subset sizes (1, 2) of a 4-set"),
+    ],
+    ids=["holds-both", "partial-in-row-0", "partial-in-a-later-row", "stray-in-a-later-row",
+         "class-sizes", "class-pattern", "shape"],
+)
+def test_decompose_product_error_texts(monkeypatch, matrix, i, k, v, fault, text):
+    # the full text of every way `decompose_product` refuses a matrix, read
+    # from the dict rows and from the packed rows alike
+    monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
+    if fault is not None:
+        fault(monkeypatch)
+    for held in (matrix, packed_copy(matrix)):
+        with pytest.raises(ParameterError) as raised:
+            decompose_product(held, i, k, v)
+        assert str(raised.value) == text
 
 
 def faulty_copies(product):
@@ -274,15 +329,15 @@ def test_sweep_holds_the_class_patterns_of_one_column_size(monkeypatch):
 
 def test_sweep_to_v8_holds_the_class_data_of_its_last_column_size_only(monkeypatch):
     # one slot for every (v, i, k): after v = 8 it holds the data of (8, 8)
-    # alone, one entry per row size, each without a per-row column order
+    # alone, one entry per row size, each keyed by class, without a per-row map
     monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
     assert product_formula_failures(8) == []
     key, held = intersection._class_data_held
     assert key == (8, 8)
     assert set(held) == {(i, 8) for i in range(9)}
-    for (i, _), (segments, firsts, patterns) in held.items():
-        assert segments == [(i, 0, 1)] and firsts == [0]
-        assert patterns == [[1] * binomial(8, i)]
+    for (i, _), (firsts, patterns) in held.items():
+        assert firsts == {i: 0}
+        assert patterns == {i: [1] * binomial(8, i)}
 
 
 def test_product_sweep_packs_each_right_factor_once(monkeypatch):

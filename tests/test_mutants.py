@@ -9,7 +9,7 @@ Faults covered here:
 - the product-formula sweep (`products`): a matrix product that drops one
   entry, packed rows reused for any right factor of the same shape,
   subset bit masks replaced by their complements' masks, class patterns
-  without the last column of the last class, and a closed-form
+  without the last column of the largest class, and a closed-form
   expansion that starts at g = 1.  A bug that raises inside the sweep
   (`decompose_product` raising `IndexError`) fails `products` alone, with
   an `internal` witness, and one inside a per-field verifier
@@ -116,11 +116,11 @@ def complement_masks(v, size):
 
 
 def patterns_missing_a_column(v, i, k, width):
-    # the last class's pattern lacks that class's last column in every row:
+    # the largest class's pattern lacks that class's last column in every row:
     # each field holds 0 or 1, so that column is the pattern's top set bit
-    segments, firsts, patterns = ORIGINAL_CLASS_DATA(v, i, k, width)
-    last = [p - (1 << (p.bit_length() - 1)) for p in patterns[-1]]
-    return segments, firsts, patterns[:-1] + [last]
+    firsts, patterns = ORIGINAL_CLASS_DATA(v, i, k, width)
+    g = max(patterns)
+    return firsts, {**patterns, g: [p - (1 << (p.bit_length() - 1)) for p in patterns[g]]}
 
 
 def expansion_from_g_1(*args):

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -24,6 +25,7 @@ from oddterw import (
     verify_generators_in_closure,
     verify_membership_families,
 )
+from oddterw.cli import main
 from oddterw.combinatorics import intersection_range
 from oddterw.oddgraph import DEFAULT_MAX_M
 from oddterw.terwilliger import (
@@ -408,27 +410,45 @@ def test_projector_factorizations(graph_factory, m):
     assert projector_factor_mismatches(graph_factory(m)) == []
 
 
-def test_projector_outside_its_block_reported():
+ORIGINAL_DUAL_IDEMPOTENT = OddGraph.dual_idempotent
+
+
+def leaky_dual_idempotent(graph, d):
+    """E_d* of O_3, with one extra diagonal entry in class 2 when d = 1."""
+    e = ORIGINAL_DUAL_IDEMPOTENT(graph, d)
+    if d != 1:
+        return e
+    entries = {(r, c): v for r, c, v in e.iter_entries()}
+    entries[(9, 9)] = 1
+    return IntMatrix(10, 10, entries)
+
+
+def test_projector_outside_its_block_reported(monkeypatch):
     # E_1* with one extra diagonal entry in class 2: its (1, 1) block still
     # matches the factors, so only the check outside that block catches it
-    from oddterw import OddGraph
-
-    g = OddGraph(2)
-    dual_idempotent = g.dual_idempotent
-
-    def leaky(d):
-        e = dual_idempotent(d)
-        if d != 1:
-            return e
-        entries = {(r, c): v for r, c, v in e.iter_entries()}
-        entries[(9, 9)] = 1
-        return IntMatrix(10, 10, entries)
-
-    g.dual_idempotent = leaky
-    assert projector_factor_mismatches(g) == [
+    monkeypatch.setattr(OddGraph, "dual_idempotent", leaky_dual_idempotent)
+    assert projector_factor_mismatches(OddGraph(2)) == [
         {"kind": "projector_mismatch", "class": 1,
          "left": "H(i=0,j=0,l=0,v=2)", "right": "H(i=2,j=2,l=2,v=3)"}
     ]
+
+
+def test_leaky_projector_fails_the_closure_before_containment(tmp_path, capsys, monkeypatch):
+    # the closure compares its embedded seeds with every projector first, so
+    # within `verify` the same fault fails `closure-computation` and
+    # `projector_factor_mismatches` never runs: containment is skipped
+    monkeypatch.setattr(OddGraph, "dual_idempotent", leaky_dual_idempotent)
+    code = main(["verify", "--m", "2", "--checks", "containment", "--out", str(tmp_path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    assert checks["closure-computation"]["status"] == "fail"
+    assert checks["closure-computation"]["witnesses"] == [
+        {"kind": "internal",
+         "detail": "GraphStructureError: the embedded seed of E_1* differs from the graph's projector"}
+    ]
+    assert checks["containment"]["status"] == "skipped"
+    assert set(checks) == {"closure-computation", "containment"}
 
 
 def test_dropped_generator_breaks_containment(graph_factory, closure_factory):
