@@ -23,7 +23,6 @@ from .intersection import (
     decompose_product,
     intersection_matrix,
     product_expansion,
-    product_expansion_term,
     product_formula_failures,
 )
 from .oddgraph import OddGraph, expected_block_factors, verify_adjacency_blocks

@@ -5,9 +5,11 @@ l is written H(i, j, l, v) throughout.  Products of two such matrices over
 the same ground set decompose in the family {H(i, k, g, v)}, whose members
 have pairwise disjoint supports; both the closed-form coefficients and an
 entry-reading decomposition are provided so each can check the other.
-`product_expansion` is the one closed form, for every s; the paper's
-separate s = 0 (disjointness) formula lives in the tests, checked
-against it.
+`product_expansion` is the one closed form, for every s.  It sums only
+the feasible terms, the (g, h) where every binomial is in range; the
+literal sum over every h = 0..g, under the zero convention of `binomial`,
+and the paper's separate s = 0 (disjointness) formula live in the tests,
+checked against it.
 
 `product_formula_failures` is the `products` check.  For every admissible
 pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
@@ -38,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from operator import add, mul
 
 from .combinatorics import SubsetIndex, binomial, intersection_range
@@ -102,24 +105,20 @@ def intersection_matrix(i: int, j: int, l: int, v: int) -> IntMatrix:
     return IntMatrix._wrap(nrows, ncols, rows)
 
 
-def product_expansion_term(i: int, j: int, k: int, l: int, s: int, v: int, g: int, h: int) -> int:
-    """One (g, h) summand of the product-expansion coefficient."""
-    return (
-        binomial(g, h)
-        * binomial(i - g, l - h)
-        * binomial(k - g, s - h)
-        * binomial(v + g - i - k, j + h - l - s)
-    )
-
-
 def product_expansion(i: int, j: int, k: int, l: int, s: int, v: int) -> dict[int, int]:
     """Coefficients c_g with H(i,j,l,v) @ H(j,k,s,v) = sum_g c_g * H(i,k,g,v).
 
-    Only nonzero coefficients appear in the returned map.
+    c_g is the sum over h of C(g, h) C(i-g, l-h) C(k-g, s-h) C(v+g-i-k, j+h-l-s),
+    taken only over the g and h where every binomial is in range and so
+    nonzero: g from max(0, i + k - v), and h between the bounds each factor
+    sets.  Only nonzero coefficients appear in the returned map.
     """
     out = {}
-    for g in range(0, min(i, k) + 1):
-        c = sum(product_expansion_term(i, j, k, l, s, v, g, h) for h in range(0, g + 1))
+    for g in range(max(0, i + k - v), min(i, k) + 1):
+        n = v + g - i - k
+        c = 0
+        for h in range(max(0, l - i + g, s - k + g, l + s - j), min(g, l, s, n + l + s - j) + 1):
+            c += comb(g, h) * comb(i - g, l - h) * comb(k - g, s - h) * comb(n, j + h - l - s)
         if c:
             out[g] = c
     return out

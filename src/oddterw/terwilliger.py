@@ -42,8 +42,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
 
 from .combinatorics import binomial, intersection_range
 from .errors import ClosureDivergenceError, GraphStructureError, ParameterError
@@ -101,28 +99,31 @@ def block_generators(m: int) -> list[BlockGenerator]:
 DimensionIdentity = namedtuple("DimensionIdentity", "block_sum binomial")
 
 
-def _range_tail(i: int, v: int) -> list[int]:
-    """|intersection_range(i, j, v)| for j = i..v, that is min(i, v - j) + 1.
+def _block_row_sum(i: int, m: int) -> int:
+    """Row i of the half-triangle block sum: the terms j = i..m, in closed form.
 
-    For j >= i, min(i, j, v - i, v - j) is min(i, v - j): the tail holds
-    i + 1 while j <= v - i, then falls to 1.
+    With t = m - j running from 0 to m - i, term j is
+    (min(i, t) + 1) * (min(i, t + 1) + 1): a ramp (t + 1)(t + 2) for
+    t = 0..a, a = min(m - i, i - 1), which sums to (a + 1)(a + 2)(a + 3) / 3,
+    then a plateau of (i + 1)^2 for each of the max(0, m - 2i + 1) values
+    t = i..m - i.
     """
-    return [*repeat(i + 1, v + 1 - 2 * i), *range(min(i, v + 1 - i), 0, -1)]
+    a = min(m - i, i - 1)
+    return (a + 1) * (a + 2) * (a + 3) // 3 + max(0, m - 2 * i + 1) * (i + 1) ** 2
 
 
 def _block_dimension_sum(m: int) -> int:
     # sum over blocks (i, j) of |range(m-i, m-j, m)| * |range(i, j, m+1)|.
     # Complementing both subsets leaves the left size unchanged, so it is
     # |range(i, j, m)|, and both sizes are symmetric in (i, j): the sum is
-    # twice the sum over j >= i, less the diagonal.  Row i's terms j = i..m
-    # are _range_tail(i, m) times _range_tail(i, m + 1); `map` stops after
-    # the left tail's m - i + 1 terms, dropping j = m + 1 from the right.
-    # The tails are built for each m and not kept.
+    # twice the sum over j >= i, less the diagonal.  For j >= i the sizes
+    # are min(i, m - j) + 1 and min(i, m + 1 - j) + 1, so row i's terms
+    # j = i..m sum in closed form (`_block_row_sum`), and its diagonal term
+    # is the one at j = i.
     total = diagonal = 0
     for i in range(m + 1):
-        left, right = _range_tail(i, m), _range_tail(i, m + 1)
-        total += sum(map(mul, left, right))
-        diagonal += left[0] * right[0]
+        total += _block_row_sum(i, m)
+        diagonal += (min(i, m - i) + 1) * (min(i, m + 1 - i) + 1)
     return 2 * total - diagonal
 
 

@@ -2,20 +2,29 @@
 
 The library states each fact once: the generator family by one rule over
 part sizes (`block_generators`), products of intersection matrices by one
-closed form (`product_expansion`), and a product's coefficients in the
+closed form (`product_expansion`), a product's coefficients in the
 family {H(i, k, g, v)} by one class-ordered read per row
-(`decompose_product`).  Each is stated a second way here, so the tests can
-hold the library's one reading against it:
+(`decompose_product`), and each row of the block dimension sum in closed
+form (`_block_row_sum`).  Each is stated a second way here, so the tests
+can hold the library's one reading against it:
 
 * `block_generators_by_parity` lists the basis case by case on the
   parities of the row and column classes, as the paper does;
+* `product_expansion_term` is one (g, h) summand of the closed form as
+  the paper writes it, every binomial under the zero convention of
+  `binomial`, so the literal sum over h = 0..g can be held against
+  `product_expansion`, which sums the feasible h only;
 * `disjoint_product_expansion` is the closed form for multiplying by a
   disjointness matrix H(j, k, 0, v), the products Levstein and Maldonado's
   method for J(n, m) is built on;
+* `range_tail` lists |intersection_range(i, j, v)| for j = i..v, the
+  factors whose products `_block_row_sum` sums in closed form;
 * `decompose_product_entrywise` reads a product one entry at a time, the
   class of each entry from its two subsets, and counts every class against
   C(v, i) * C(i, g) * C(v - i, k - g).
 """
+
+from itertools import repeat
 
 from oddterw import BlockGenerator, HSpec, ParameterError, SubsetIndex, binomial, intersection_range
 
@@ -46,6 +55,16 @@ def block_generators_by_parity(m: int) -> list[BlockGenerator]:
         for j in range(half_up):
             gens += _family((2 * i + 1, 2 * j + 1), (i, j, m), (m - i, m - j, m + 1))
     return gens
+
+
+def product_expansion_term(i: int, j: int, k: int, l: int, s: int, v: int, g: int, h: int) -> int:
+    """One (g, h) summand of the product-expansion coefficient."""
+    return (
+        binomial(g, h)
+        * binomial(i - g, l - h)
+        * binomial(k - g, s - h)
+        * binomial(v + g - i - k, j + h - l - s)
+    )
 
 
 def disjoint_product_expansion(i: int, j: int, k: int, l: int, v: int) -> dict[int, int]:
@@ -81,3 +100,12 @@ def decompose_product_entrywise(product, i: int, k: int, v: int) -> dict[int, in
         if count != binomial(v, i) * binomial(i, g) * binomial(v - i, k - g):
             raise ParameterError(f"class {g} only partially covered")
     return values
+
+
+def range_tail(i: int, v: int) -> list[int]:
+    """|intersection_range(i, j, v)| for j = i..v, that is min(i, v - j) + 1.
+
+    For j >= i, min(i, j, v - i, v - j) is min(i, v - j): the tail holds
+    i + 1 while j <= v - i, then falls to 1.
+    """
+    return [*repeat(i + 1, v + 1 - 2 * i), *range(min(i, v + 1 - i), 0, -1)]

@@ -12,12 +12,11 @@ from oddterw import (
     intersection_matrix,
     intersection_range,
     product_expansion,
-    product_expansion_term,
     product_formula_failures,
 )
 from oddterw import exactmat, intersection
 from oddterw.cli import SWEEP_MAX_LARGE
-from paper_readings import decompose_product_entrywise, disjoint_product_expansion
+from paper_readings import decompose_product_entrywise, disjoint_product_expansion, product_expansion_term
 
 
 def all_ones(nrows, ncols):
@@ -119,6 +118,25 @@ def test_expansion_term_all_zero_lower_indices():
     assert product_expansion_term(3, 0, 3, 0, 0, 7, 3, 0) == 1
 
 
+def test_expansion_sums_every_term_it_can_skip():
+    # the feasible (g, h) only against the literal sum over g = 0..min(i, k)
+    # and h = 0..g under the zero convention, at every v <= 10, with l and s
+    # each from one below to one above its feasible range
+    for v in range(11):
+        for i, j, k in itertools.product(range(v + 1), repeat=3):
+            ls, ss = intersection_range(i, j, v), intersection_range(j, k, v)
+            for l in range(ls.start - 1, ls.stop + 1):
+                for s in range(ss.start - 1, ss.stop + 1):
+                    literal = {}
+                    for g in range(min(i, k) + 1):
+                        c = sum(product_expansion_term(i, j, k, l, s, v, g, h) for h in range(g + 1))
+                        if c:
+                            literal[g] = c
+                    assert list(product_expansion(i, j, k, l, s, v).items()) == list(literal.items()), (
+                        i, j, k, l, s, v
+                    )
+
+
 def test_identity_times_identity_expansion():
     assert product_expansion(1, 1, 1, 1, 1, 3) == {1: 1}
 
@@ -155,19 +173,6 @@ def test_squared_disjointness_matrix_against_expansion():
     coeffs = product_expansion(2, 2, 2, 0, 0, v)
     assert direct == combination(coeffs, 2, 2, v)
     assert decompose_product(direct, 2, 2, v) == coeffs
-
-
-def test_decompose_product_validates_class_constancy():
-    # value differs inside one intersection class
-    bad = IntMatrix(binomial(4, 1), binomial(4, 1), {(0, 1): 2, (0, 2): 3})
-    with pytest.raises(ParameterError, match="class 0 holds both 2 and 3"):
-        decompose_product(bad, 1, 1, 4)
-    # class only partially covered
-    partial = IntMatrix(binomial(4, 1), binomial(4, 1), {(0, 1): 2})
-    with pytest.raises(ParameterError, match="class 0 only partially covered in row 0"):
-        decompose_product(partial, 1, 1, 4)
-    with pytest.raises(ParameterError):
-        decompose_product(IntMatrix.zeros(3, 3), 1, 1, 4)  # wrong shape
 
 
 def complement_masks(monkeypatch):
@@ -230,9 +235,11 @@ IDENTITY_4 = {(r, r): 1 for r in range(4)}
          "row 0 reads class-constant but differs from its class pattern"),
         (IntMatrix(4, 4, IDENTITY_4), 1, 2, 4, None,
          "shape (4, 4) does not match subset sizes (1, 2) of a 4-set"),
+        (IntMatrix.zeros(3, 3), 1, 1, 4, None,
+         "shape (3, 3) does not match subset sizes (1, 1) of a 4-set"),
     ],
     ids=["holds-both", "partial-in-row-0", "partial-in-a-later-row", "stray-in-a-later-row",
-         "class-sizes", "class-pattern", "shape"],
+         "class-sizes", "class-pattern", "shape", "shape-of-a-zero-matrix"],
 )
 def test_decompose_product_error_texts(monkeypatch, matrix, i, k, v, fault, text):
     # the full text of every way `decompose_product` refuses a matrix, read

@@ -62,7 +62,8 @@ Faults covered here:
   entries must be put back;
 - the dimension identity: a block sum off by one at m = 3.  `closure`
   reads C(m+4, 4) through the same `dimension_formula`, and must still
-  report, while only `dimension` fails.
+  report, while only `dimension` fails.  A row of the block sum that stops
+  one term short fails `dimension` at every m.
 """
 
 import json
@@ -90,6 +91,7 @@ ORIGINAL_MATRIX = intersection.intersection_matrix
 ORIGINAL_EMBED = OddGraph.embed_vector
 ORIGINAL_FACTORS = oddgraph.expected_block_factors
 ORIGINAL_BLOCK_SUM = terwilliger._block_dimension_sum
+ORIGINAL_ROW_SUM = terwilliger._block_row_sum
 
 
 def matmul_dropping_one_entry(a, b):
@@ -517,3 +519,22 @@ def test_identity_fault_fails_dimension_alone(tmp_path, capsys, monkeypatch):
         ]
     }
     assert next(c for c in report["checks"] if c["name"] == "closure")["status"] == "pass"
+
+
+def row_sum_one_term_short(i, m):
+    # row i summed over j = i..m - 1, dropping the term at j = m
+    return ORIGINAL_ROW_SUM(i, m - 1)
+
+
+def test_row_sum_fault_fails_dimension(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(terwilliger, "_block_row_sum", row_sum_one_term_short)
+    code = main(["verify", "--m", "2", "--checks", "dimension", "--out", str(tmp_path)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    (check,) = report["checks"]
+    assert check["name"] == "dimension" and check["status"] == "fail"
+    assert {w["kind"] for w in check["witnesses"]} == {"identity_mismatch"}
+    # one mismatch at every m, the first 50 of them kept as witnesses
+    assert [w["m"] for w in check["witnesses"]] == list(range(1, 51))
+    assert check["params"]["witnesses_truncated"] == 200

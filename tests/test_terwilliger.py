@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -31,10 +32,10 @@ from oddterw.oddgraph import DEFAULT_MAX_M
 from oddterw.terwilliger import (
     ClosureResult,
     _block_dimension_sum,
-    _range_tail,
+    _block_row_sum,
     projector_factor_mismatches,
 )
-from paper_readings import block_generators_by_parity, disjoint_product_expansion
+from paper_readings import block_generators_by_parity, disjoint_product_expansion, range_tail
 
 
 def basis_block_elements(graph, space):
@@ -627,8 +628,16 @@ def test_block_dimension_rows_match_intersection_ranges():
     for m in range(1, 201):
         lower, upper = upper, sizes(m + 1)
         for i in range(m + 1):
-            assert _range_tail(i, m) == lower[m - i][::-1][i:]
-            assert _range_tail(i, m + 1) == upper[i][i:]
+            assert range_tail(i, m) == lower[m - i][::-1][i:]
+            assert range_tail(i, m + 1) == upper[i][i:]
+
+
+def test_block_row_sum_is_the_sum_of_the_tail_products():
+    # row i's closed form against its terms j = i..m, the products of the two
+    # tails; `map` stops after the left tail's m - i + 1 terms
+    for m in range(201):
+        for i in range(m + 1):
+            assert _block_row_sum(i, m) == sum(map(mul, range_tail(i, m), range_tail(i, m + 1))), (i, m)
 
 
 def test_block_dimension_sum_matches_the_full_double_sum():
