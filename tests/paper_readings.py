@@ -17,7 +17,7 @@ can hold the library's one reading against it:
 * `disjoint_product_expansion` is the closed form for multiplying by a
   disjointness matrix H(j, k, 0, v), the products Levstein and Maldonado's
   method for J(n, m) is built on;
-* `range_tail` lists |intersection_range(i, j, v)| for j = i..v, the
+* `_range_tail` lists |intersection_range(i, j, v)| for j = i..v, the
   factors whose products `_block_row_sum` sums in closed form;
 * `decompose_product_entrywise` reads a product one entry at a time, the
   class of each entry from its two subsets, and counts every class against
@@ -102,7 +102,7 @@ def decompose_product_entrywise(product, i: int, k: int, v: int) -> dict[int, in
     return values
 
 
-def range_tail(i: int, v: int) -> list[int]:
+def _range_tail(i: int, v: int) -> list[int]:
     """|intersection_range(i, j, v)| for j = i..v, that is min(i, v - j) + 1.
 
     For j >= i, min(i, j, v - i, v - j) is min(i, v - j): the tail holds

@@ -35,7 +35,7 @@ from oddterw.terwilliger import (
     _block_row_sum,
     projector_factor_mismatches,
 )
-from paper_readings import block_generators_by_parity, disjoint_product_expansion, range_tail
+from paper_readings import _range_tail, block_generators_by_parity, disjoint_product_expansion
 
 
 def basis_block_elements(graph, space):
@@ -628,8 +628,8 @@ def test_block_dimension_rows_match_intersection_ranges():
     for m in range(1, 201):
         lower, upper = upper, sizes(m + 1)
         for i in range(m + 1):
-            assert range_tail(i, m) == lower[m - i][::-1][i:]
-            assert range_tail(i, m + 1) == upper[i][i:]
+            assert _range_tail(i, m) == lower[m - i][::-1][i:]
+            assert _range_tail(i, m + 1) == upper[i][i:]
 
 
 def test_block_row_sum_is_the_sum_of_the_tail_products():
@@ -637,7 +637,7 @@ def test_block_row_sum_is_the_sum_of_the_tail_products():
     # tails; `map` stops after the left tail's m - i + 1 terms
     for m in range(201):
         for i in range(m + 1):
-            assert _block_row_sum(i, m) == sum(map(mul, range_tail(i, m), range_tail(i, m + 1))), (i, m)
+            assert _block_row_sum(i, m) == sum(map(mul, _range_tail(i, m), _range_tail(i, m + 1))), (i, m)
 
 
 def test_block_dimension_sum_matches_the_full_double_sum():
