@@ -17,12 +17,13 @@ Each matrix decides this once, on its first use as a left factor, and
 keeps the answer beside its max |entry|.  A field is 8, 16, 32 or 64 bits
 wide; a product that would need a wider one is refused with
 `ParameterError` (the largest bound any check reaches is 12012, at
-m = 6).  `_pack` is the one packing loop, for right factors and for the
-class patterns of `decompose_product` alike.  The product keeps its
-integers with their field width, and reads its rows back, through
-`int.to_bytes` and a signed `array`, only when something first reads
-them; `decompose_product` compares the integers themselves
-(`IntMatrix._packed_form`) and never reads a sweep product back.  One
+m = 6).  `_pack` is the one packing loop for row dicts.  The product
+keeps its integers with their field width, and reads its rows back,
+through `int.to_bytes` and a signed `array`, only when something first
+reads them; `decompose_product` compares the integers themselves
+(`IntMatrix._packed_form`), reads row 0's class values as single digits
+(`_read_digits`, with the bias of `_read_back`), and never reads a sweep
+product back.  One
 module-level slot holds the last right factor with its field width and
 packed rows, as a tuple replaced whole; a product whose right factor is
 that same object at that width reuses the rows, so a caller that runs its
@@ -323,7 +324,7 @@ def _read_back(width: int, packed: dict[int, int], ncols: int) -> dict[int, dict
     """
     nbytes = width // 8
     size, typecode = nbytes * ncols, _SIGNED_BY_SIZE[nbytes]
-    biased = int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
+    biased = _field_bias(width, ncols)
     rows = {}
     for r, acc in packed.items():
         fields = array(typecode, ((acc + biased) ^ biased).to_bytes(size, "little"))
@@ -332,6 +333,24 @@ def _read_back(width: int, packed: dict[int, int], ncols: int) -> dict[int, dict
         # the (column, entry) pairs whose entry is nonzero
         rows[r] = dict(compress(enumerate(fields), fields))
     return rows
+
+
+def _field_bias(width: int, ncols: int) -> int:
+    """2**(W-1) in every one of `ncols` W-bit fields, the bias of `_read_back`."""
+    nbytes = width // 8
+    return int.from_bytes((1 << (width - 1)).to_bytes(nbytes, "little") * ncols, "little")
+
+
+def _read_digits(width: int, word: int, ncols: int, columns) -> list[int]:
+    """The entries at `columns` of one packed row `word` of `ncols` fields.
+
+    As in `_read_back`, the bias 2**(W-1) goes into every field, so a
+    negative field below a read one cannot borrow from it: each field is
+    then its entry plus 2**(W-1), with no carry across fields.
+    """
+    biased = word + _field_bias(width, ncols)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    return [(biased >> (width * c) & mask) - half for c in columns]
 
 
 # The right factor `IntMatrix.__matmul__` packed last: (matrix, W, packed rows).

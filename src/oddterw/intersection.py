@@ -16,19 +16,23 @@ pair it multiplies H(i, j, l, v) @ H(j, k, s, v) exactly with
 `IntMatrix.__matmul__`, then `decompose_product` checks every entry of the
 product, one row at a time, without reading it back: each row, packed as
 the kernel built it, is compared as one integer with the row every member
-of the span holds there, the class values read from row 0 times the class
-patterns of that row.  The class of entry (r, c) is the popcount of the
-AND of the bit masks of subsets r and c, taken from `SubsetIndex.subsets()`
-and not from the intersection matrices, so a wrong `intersection_matrix`
-cannot vouch for itself.  Each row's classes are read as one map,
-{class: its columns}.  The class data of each (v, i, k) and field width,
-keyed by class, the first column of each class in row 0 and the packed
-class patterns, is built from those maps once and kept for one (v, k) at a
-time; no row's map is kept, and a faulty row's map is read from the masks
-again.  The loops take (k, j, s) outside and (i, l) inside: each right
-factor H(j, k, s, v) then serves a run of consecutive products, and the
-kernel packs it once for the whole run, and every i of one k comes before
-the next k.
+of the span holds there, the class values read as digits of row 0's
+integer times the class patterns of that row.  The class of entry (r, c)
+is the popcount of the AND of the bit masks of subsets r and c, taken
+from `SubsetIndex.subsets()` and not from the intersection matrices, so a
+wrong `intersection_matrix` cannot vouch for itself.  The class data of
+each (v, i, k) and field width, keyed by class, the first column of each
+class in row 0 and the packed class patterns, is built in one pass per
+row, each column adding its field into the word of its class, and kept
+for one (v, k) at a time; only a faulty row is split into {class: its
+columns}, from the masks again, to name its fault.  The loops take
+(k, j, s) outside and (i, l) inside: each right factor H(j, k, s, v) then
+serves a run of consecutive products, and the kernel packs it once for
+the whole run, and every i of one k comes before the next k.
+
+`intersection_matrix` ranks columns by bit mask (`_rank_table`): each
+column of a row is the mask of some of the row's elements or'ed with the
+mask of some elements outside it, so no element tuple is built or sorted.
 
 All functions here are safe for unsynchronized concurrent use.  The one
 module-level cache, the class data of the last (v, k), only gains entries
@@ -45,7 +49,7 @@ from operator import add, mul
 
 from .combinatorics import SubsetIndex, binomial, intersection_range
 from .errors import ParameterError
-from .exactmat import IntMatrix, _pack, _read_back
+from .exactmat import IntMatrix, _read_back, _read_digits
 
 
 @dataclass(frozen=True)
@@ -65,14 +69,15 @@ class HSpec:
 
 
 @lru_cache(maxsize=None)
-def _rank_table(v: int, size: int) -> dict[tuple[int, ...], int]:
-    """{subset: SubsetIndex(v, size).rank(subset)} over every size-subset of a v-set.
+def _rank_table(v: int, size: int) -> dict[int, int]:
+    """{mask: SubsetIndex(v, size).rank(subset)} over every size-subset of a
+    v-set, where the mask of a subset has bit e set for each element e.
 
     One `rank` call per subset, for all the intersection matrices that share
     this column set.
     """
     index = SubsetIndex(v, size)
-    return {subset: index.rank(subset) for subset in index.subsets()}
+    return {sum(1 << e for e in subset): index.rank(subset) for subset in index.subsets()}
 
 
 @lru_cache(maxsize=None)
@@ -80,9 +85,10 @@ def intersection_matrix(i: int, j: int, l: int, v: int) -> IntMatrix:
     """The 0/1 matrix with entry (y, z) = 1 iff |y ∩ z| = l.
 
     Rows are i-subsets and columns j-subsets of {0..v-1}, both in colex
-    order.  Out-of-range l yields the zero matrix.  Column indices are read
-    from `_rank_table(v, j)`.  Results are cached and shared; callers must
-    not mutate them.
+    order.  Out-of-range l yields the zero matrix.  Each column of row y is
+    the mask of l elements of y or'ed with the mask of j - l elements
+    outside it, and its index is read from `_rank_table(v, j)`.  Results
+    are cached and shared; callers must not mutate them.
     """
     if not (0 <= i <= v and 0 <= j <= v):
         raise ParameterError(f"subset sizes ({i}, {j}) exceed ground size {v}")
@@ -95,11 +101,10 @@ def intersection_matrix(i: int, j: int, l: int, v: int) -> IntMatrix:
     # Per row y, enumerate exactly the columns meeting y in l points instead
     # of filtering all C(v, j) subsets.
     for r, y in enumerate(row_index.subsets()):
-        complement = [e for e in range(v) if e not in y]
-        row = {}
-        for inside in itertools.combinations(y, l):
-            for outside in itertools.combinations(complement, j - l):
-                row[col_rank[tuple(sorted(inside + outside))]] = 1
+        inside = [1 << e for e in y]
+        outside = [1 << e for e in range(v) if e not in y]
+        outsides = list(map(sum, itertools.combinations(outside, j - l)))
+        row = {col_rank[a | b]: 1 for a in map(sum, itertools.combinations(inside, l)) for b in outsides}
         if row:
             rows[r] = row
     return IntMatrix._wrap(nrows, ncols, rows)
@@ -132,7 +137,8 @@ def _subset_masks(v: int, size: int) -> list[int]:
 
 def _row_classes(row_mask: int, col_masks: list[int]) -> dict[int, list[int]]:
     """{class g: its columns, ascending} for one row: the class of a column
-    is the popcount of the AND of the two subsets' masks."""
+    is the popcount of the AND of the two subsets' masks.  Only a faulty
+    row is split this way, to name its fault."""
     classes = {}
     for c, col_mask in enumerate(col_masks):
         classes.setdefault((row_mask & col_mask).bit_count(), []).append(c)
@@ -151,12 +157,16 @@ def _class_data(v: int, i: int, k: int, width: int) -> tuple:
     Both are keyed by the classes g of `intersection_range(i, k, v)`, in
     ascending order.  `firsts[g]` is the first column of class g in row 0.
     `patterns[g]` holds one item per row r: row r of the 0/1 matrix M[g]
-    that is 1 exactly on class g, packed at `width` by `_pack`, so a member
-    of the span with value x_g on class g packs to sum_g x_g * M[g][r] in
-    row r.  The classes of each row are read from the masks of
-    `_subset_masks` (`_row_classes`).  Raises ParameterError when a row's
-    class sizes differ from C(i, g) * C(v - i, k - g), as they do for any
-    class outside that range.
+    that is 1 exactly on class g, packed at `width` as the kernel packs a
+    row, so a member of the span with value x_g on class g packs to
+    sum_g x_g * M[g][r] in row r.  Each row is read in one pass over the
+    column masks of `_subset_masks`: column c adds its field 1 << (W*c)
+    into the word of its class, the popcount of the AND of the two masks.
+    The words are then the patterns, the set bits of a word count the
+    columns of its class, and the lowest set bit of a word in row 0 is the
+    first column of its class.  Raises ParameterError when a row's class
+    sizes differ from C(i, g) * C(v - i, k - g), as they do for any class
+    outside that range.
     """
     global _class_data_held
     key, held = _class_data_held
@@ -166,22 +176,25 @@ def _class_data(v: int, i: int, k: int, width: int) -> tuple:
     data = held.get((i, width))
     if data is not None:
         return data
-    sizes = {g: binomial(i, g) * binomial(v - i, k - g) for g in intersection_range(i, k, v)}
+    sizes = [binomial(i, g) * binomial(v - i, k - g) for g in range(v + 1)]
     col_masks = _subset_masks(v, k)
-    patterns = {g: [] for g in sizes}
+    fields = [1 << (width * c) for c in range(len(col_masks))]
+    patterns = {g: [] for g in intersection_range(i, k, v)}
     for r, row_mask in enumerate(_subset_masks(v, i)):
-        classes = _row_classes(row_mask, col_masks)
-        g = next((g for g in range(v + 1) if len(classes.get(g, ())) != sizes.get(g, 0)), None)
-        if g is not None:
+        words = [0] * (v + 1)  # row r of the pattern of every class g, in words[g]
+        for col_mask, field in zip(col_masks, fields):
+            words[(row_mask & col_mask).bit_count()] += field
+        counts = list(map(int.bit_count, words))
+        if counts != sizes:
+            g = next(g for g, (count, size) in enumerate(zip(counts, sizes)) if count != size)
             raise ParameterError(
-                f"row {r} meets {len(classes.get(g, ()))} columns in {g} points, not "
-                f"{sizes.get(g, 0)}, for subset sizes ({i}, {k}) of a {v}-set"
+                f"row {r} meets {counts[g]} columns in {g} points, not "
+                f"{sizes[g]}, for subset sizes ({i}, {k}) of a {v}-set"
             )
         if r == 0:
-            firsts = {g: classes[g][0] for g in sizes}
-        # row r of every class's pattern, packed as the rows of one matrix
-        for g, word in _pack({g: dict.fromkeys(classes[g], 1) for g in sizes}, width, {}).items():
-            patterns[g].append(word)
+            firsts = {g: ((words[g] & -words[g]).bit_length() - 1) // width for g in patterns}
+        for g, pattern in patterns.items():
+            pattern.append(words[g])
     data = held[(i, width)] = (firsts, patterns)
     return data
 
@@ -194,8 +207,9 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     g points.  The class of an entry (r, c) is the popcount of the AND of
     the bit masks of row subset r and column subset c; the masks come from
     the subsets themselves, not from the intersection matrices, through
-    `_class_data`.  The value x_g of class g is read from row 0, at the
-    first column of that class.
+    `_class_data`.  The value x_g of class g is read from row 0's integer,
+    as the signed W-bit digit at the first column of that class
+    (`exactmat._read_digits`).
 
     Every row is then compared whole, as one integer: the product's packed
     row (`IntMatrix._packed_form`, one W-bit field per column) against
@@ -213,8 +227,9 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
     width, packed = product._packed_form()
     firsts, patterns = _class_data(v, i, k, width)
-    first = _read_back(width, {0: packed.get(0, 0)}, ncols)[0]
-    values = {g: first.get(c) for g, c in firsts.items()}
+    # a zero digit reads as None, the value of a column absent from a row
+    digits = _read_digits(width, packed.get(0, 0), ncols, firsts.values())
+    values = {g: x or None for g, x in zip(firsts, digits)}
     expected = [0] * nrows  # sum_g x_g * M[g][r] for each row r
     for g, value in values.items():
         if value is not None:

@@ -21,12 +21,20 @@ can hold the library's one reading against it:
   factors whose products `_block_row_sum` sums in closed form;
 * `decompose_product_entrywise` reads a product one entry at a time, the
   class of each entry from its two subsets, and counts every class against
-  C(v, i) * C(i, g) * C(v - i, k - g).
+  C(v, i) * C(i, g) * C(v - i, k - g);
+* `intersection_matrix_by_sorted_tuples` builds H(i, j, l, v) by ranking
+  each column's sorted element tuple, where `intersection_matrix` ranks
+  its bit mask;
+* `class_data_by_row_maps` builds the class data of `_class_data` from
+  one {class: columns} map per row, packed by the kernel's `_pack`, where
+  `_class_data` adds each column's field into its class's word in one
+  pass.
 """
 
-from itertools import repeat
+from itertools import combinations, repeat
 
-from oddterw import BlockGenerator, HSpec, ParameterError, SubsetIndex, binomial, intersection_range
+from oddterw import BlockGenerator, HSpec, IntMatrix, ParameterError, SubsetIndex, binomial, intersection_range
+from oddterw.exactmat import _pack
 
 
 def _family(block, left_ij_v, right_ij_v) -> list[BlockGenerator]:
@@ -109,3 +117,43 @@ def _range_tail(i: int, v: int) -> list[int]:
     i + 1 while j <= v - i, then falls to 1.
     """
     return [*repeat(i + 1, v + 1 - 2 * i), *range(min(i, v + 1 - i), 0, -1)]
+
+
+def intersection_matrix_by_sorted_tuples(i: int, j: int, l: int, v: int) -> IntMatrix:
+    """H(i, j, l, v), each column of row y ranked by the sorted tuple of l
+    elements of y and j - l elements outside it, in the same key order as
+    `intersection_matrix`."""
+    rows_index = SubsetIndex(v, i)
+    if l < 0 or l > min(i, j):
+        return IntMatrix.zeros(rows_index.count, binomial(v, j))
+    index = SubsetIndex(v, j)
+    col_rank = {subset: index.rank(subset) for subset in index.subsets()}
+    rows = {}
+    for r, y in enumerate(rows_index.subsets()):
+        complement = [e for e in range(v) if e not in y]
+        row = {}
+        for inside in combinations(y, l):
+            for outside in combinations(complement, j - l):
+                row[col_rank[tuple(sorted(inside + outside))]] = 1
+        if row:
+            rows[r] = row
+    return IntMatrix._wrap(rows_index.count, index.count, rows)
+
+
+def class_data_by_row_maps(v: int, i: int, k: int, width: int) -> tuple:
+    """(firsts, patterns) as `_class_data` returns them, for a sound (v, i, k):
+    each row's classes read as one {class: its columns} map, and row r of
+    every class's pattern packed from those maps by `_pack`."""
+    row_masks = [sum(1 << e for e in y) for y in SubsetIndex(v, i).subsets()]
+    col_masks = [sum(1 << e for e in z) for z in SubsetIndex(v, k).subsets()]
+    classes_of = intersection_range(i, k, v)
+    patterns = {g: [] for g in classes_of}
+    for r, row_mask in enumerate(row_masks):
+        classes = {}
+        for c, col_mask in enumerate(col_masks):
+            classes.setdefault((row_mask & col_mask).bit_count(), []).append(c)
+        if r == 0:
+            firsts = {g: classes[g][0] for g in classes_of}
+        for g, word in _pack({g: dict.fromkeys(classes[g], 1) for g in classes_of}, width, {}).items():
+            patterns[g].append(word)
+    return firsts, patterns

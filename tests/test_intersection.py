@@ -16,7 +16,13 @@ from oddterw import (
 )
 from oddterw import exactmat, intersection
 from oddterw.cli import SWEEP_MAX_LARGE
-from paper_readings import decompose_product_entrywise, disjoint_product_expansion, product_expansion_term
+from paper_readings import (
+    class_data_by_row_maps,
+    decompose_product_entrywise,
+    disjoint_product_expansion,
+    intersection_matrix_by_sorted_tuples,
+    product_expansion_term,
+)
 
 
 def all_ones(nrows, ncols):
@@ -183,17 +189,15 @@ def complement_masks(monkeypatch):
 
 
 def doubled_patterns(monkeypatch):
-    # every class pattern packed at twice its value: a class-constant row then
+    # every class pattern at twice its value: a class-constant row then
     # differs from the pattern row 0 gives it
-    original = intersection._pack
+    original = intersection._class_data
 
-    def doubled(rows, width, packed):
-        packed = original(rows, width, packed)
-        for r in rows:
-            packed[r] *= 2
-        return packed
+    def doubled(v, i, k, width):
+        firsts, patterns = original(v, i, k, width)
+        return firsts, {g: [2 * word for word in words] for g, words in patterns.items()}
 
-    monkeypatch.setattr(intersection, "_pack", doubled)
+    monkeypatch.setattr(intersection, "_class_data", doubled)
 
 
 def test_decompose_product_reads_classes_from_the_current_masks(monkeypatch):
@@ -251,6 +255,39 @@ def test_decompose_product_error_texts(monkeypatch, matrix, i, k, v, fault, text
         with pytest.raises(ParameterError) as raised:
             decompose_product(held, i, k, v)
         assert str(raised.value) == text
+
+
+def test_decompose_product_reads_negative_class_values(monkeypatch):
+    # row 0 holds -1 below three 5s: each digit is read with every lower
+    # field biased, so the -1 borrows nothing from the 5 above it
+    monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
+    matrix = IntMatrix(4, 4, {(r, c): -1 if r == c else 5 for r in range(4) for c in range(4)})
+    for held in (matrix, packed_copy(matrix)):
+        assert decompose_product(held, 1, 1, 4) == {0: 5, 1: -1}
+
+
+def rows_in_order(matrix):
+    """The rows of `matrix` with their entries, both in key order."""
+    return [(r, list(row.items())) for r, row in matrix._rows.items()]
+
+
+def test_matrices_and_class_data_equal_the_sorted_tuple_and_row_map_readings(monkeypatch):
+    # the mask-ranked build and the one-pass class data against the readings
+    # they replaced: every matrix, row and key order included, and every
+    # class datum, at every v <= 9 and every field width
+    for v in range(10):
+        for i, j in itertools.product(range(v + 1), repeat=2):
+            for l in intersection_range(i, j, v):
+                want = intersection_matrix_by_sorted_tuples(i, j, l, v)
+                got = intersection_matrix.__wrapped__(i, j, l, v)
+                assert got.shape == want.shape and rows_in_order(got) == rows_in_order(want), (i, j, l, v)
+        for k in range(v + 1):
+            monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
+            for i, width in itertools.product(range(v + 1), (8, 16, 32, 64)):
+                firsts, patterns = intersection._class_data(v, i, k, width)
+                want_firsts, want_patterns = class_data_by_row_maps(v, i, k, width)
+                assert list(firsts.items()) == list(want_firsts.items()), (v, i, k, width)
+                assert list(patterns.items()) == list(want_patterns.items()), (v, i, k, width)
 
 
 def faulty_copies(product):

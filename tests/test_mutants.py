@@ -9,8 +9,9 @@ Faults covered here:
 - the product-formula sweep (`products`): a matrix product that drops one
   entry, packed rows reused for any right factor of the same shape,
   subset bit masks replaced by their complements' masks, class patterns
-  without the last column of the largest class, and a closed-form
-  expansion that starts at g = 1.  A bug that raises inside the sweep
+  without the last column of the largest class, a closed-form
+  expansion that starts at g = 1, and a column rank table that swaps the
+  first two 2-subsets of a 5-set.  A bug that raises inside the sweep
   (`decompose_product` raising `IndexError`) fails `products` alone, with
   an `internal` witness, and one inside a per-field verifier
   (`verify_generator_basis` raising `IndexError`) fails that verifier's
@@ -71,6 +72,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,7 @@ ORIGINAL_MASKS = intersection._subset_masks
 ORIGINAL_CLASS_DATA = intersection._class_data
 ORIGINAL_EXPANSION = intersection.product_expansion
 ORIGINAL_MATRIX = intersection.intersection_matrix
+ORIGINAL_RANK_TABLE = intersection._rank_table
 ORIGINAL_EMBED = OddGraph.embed_vector
 ORIGINAL_FACTORS = oddgraph.expected_block_factors
 ORIGINAL_BLOCK_SUM = terwilliger._block_dimension_sum
@@ -125,6 +128,14 @@ def patterns_missing_a_column(v, i, k, width):
     return firsts, {**patterns, g: [p - (1 << (p.bit_length() - 1)) for p in patterns[g]]}
 
 
+def rank_table_swapping_two_columns(v, size):
+    # the first two 2-subsets of a 5-set, {0, 1} and {0, 2}, trade column indices
+    table = ORIGINAL_RANK_TABLE(v, size)
+    if (v, size) != (5, 2):
+        return table
+    return {**table, 0b011: table[0b101], 0b101: table[0b011]}
+
+
 def expansion_from_g_1(*args):
     return {g: c for g, c in ORIGINAL_EXPANSION(*args).items() if g >= 1}
 
@@ -152,14 +163,18 @@ def verify_products(tmp_path, capsys):
          {"product_not_class_constant"}, "reads class-constant but differs from its class pattern"),
         (intersection, "product_expansion", expansion_from_g_1,
          {"expansion_mismatch"}, ""),
+        (intersection, "_rank_table", rank_table_swapping_two_columns,
+         {"product_not_class_constant"}, ""),
     ],
     ids=["matmul-drops-an-entry", "packing-reused-by-shape", "complement-masks",
-         "patterns-missing-a-column", "expansion-from-g-1"],
+         "patterns-missing-a-column", "expansion-from-g-1", "rank-table-swaps-two-columns"],
 )
 def test_sweep_fault_fails_products(tmp_path, capsys, monkeypatch, target, name, fault, kinds, detail):
-    # no packing and no class data left by earlier tests
+    # no packing, no class data and no intersection matrix left by earlier
+    # tests: the sweep builds its matrices in an empty cache of its own
     monkeypatch.setattr(exactmat, "_last_packed", (None, 0, []))
     monkeypatch.setattr(intersection, "_class_data_held", (None, {}))
+    monkeypatch.setattr(intersection, "intersection_matrix", lru_cache(maxsize=None)(ORIGINAL_MATRIX.__wrapped__))
     monkeypatch.setattr(target, name, fault)
     code, seen, details = verify_products(tmp_path, capsys)
     assert code == 1
