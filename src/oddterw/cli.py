@@ -360,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument(
         "--checks",
+        type=lambda text: tuple(t for t in text.split(",") if t),
         default="all",
         help=f"comma-separated subset of {', '.join(CHECK_NAMES)}, or 'all'",
     )
@@ -371,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run exact rational arithmetic (default: on for m <= 3)",
     )
     p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--out", type=Path, required=True)
-    p_verify.add_argument("--format", choices=("json", "text"), default="json")
+    p_verify.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, required=True)
+    p_verify.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     p_verify.add_argument("--sweep-max", type=int, default=DEFAULT_SWEEP_MAX)
     p_verify.add_argument("--allow-large", action="store_true")
 
@@ -385,29 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # each verify option's dest is the RunConfig field it sets
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "build":
-            return cmd_build(args.m, args.out)
-        if args.command == "verify":
-            config = RunConfig(
-                m=args.m,
-                checks=tuple(t for t in args.checks.split(",") if t),
-                primes=args.primes,
-                exact=args.exact,
-                jobs=args.jobs,
-                out_dir=args.out,
-                fmt=args.format,
-                sweep_max=args.sweep_max,
-                allow_large=args.allow_large,
-            )
-            return cmd_verify(config)
-        if args.command == "tdim":
-            if args.max < 1:
+        if command == "build":
+            return cmd_build(options["m"], options["out"])
+        if command == "verify":
+            return cmd_verify(RunConfig(**options))
+        if command == "tdim":
+            if options["max"] < 1:
                 raise ParameterError("--max must be at least 1")
-            if args.max > DIMENSION_IDENTITY_MAX:
+            if options["max"] > DIMENSION_IDENTITY_MAX:
                 raise ParameterError(f"--max must be at most {DIMENSION_IDENTITY_MAX}")
-            return cmd_tdim(args.max)
+            return cmd_tdim(options["max"])
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

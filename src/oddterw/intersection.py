@@ -24,8 +24,8 @@ wrong `intersection_matrix` cannot vouch for itself.  The class data of
 each (v, i, k) and field width, keyed by class, the first column of each
 class in row 0 and the packed class patterns, is built in one pass per
 row, each column adding its field into the word of its class, and kept
-for one (v, k) at a time; only a faulty row is split into {class: its
-columns}, from the masks again, to name its fault.  The loops take
+for one (v, k) at a time; only a faulty row is read back, with its row
+of every class pattern, to name its fault.  The loops take
 (k, j, s) outside and (i, l) inside: each right factor H(j, k, s, v) then
 serves a run of consecutive products, and the kernel packs it once for
 the whole run, and every i of one k comes before the next k.
@@ -135,16 +135,6 @@ def _subset_masks(v: int, size: int) -> list[int]:
     return [sum(1 << e for e in s) for s in SubsetIndex(v, size).subsets()]
 
 
-def _row_classes(row_mask: int, col_masks: list[int]) -> dict[int, list[int]]:
-    """{class g: its columns, ascending} for one row: the class of a column
-    is the popcount of the AND of the two subsets' masks.  Only a faulty
-    row is split this way, to name its fault."""
-    classes = {}
-    for c, col_mask in enumerate(col_masks):
-        classes.setdefault((row_mask & col_mask).bit_count(), []).append(c)
-    return classes
-
-
 # The class data of one (v, k): ((v, k), {(i, W): (firsts, patterns)}).
 # Data for another (v, k) replaces the pair whole, so the sweep, which runs
 # every i inside each k, holds one column size's data at a time.
@@ -209,7 +199,8 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     the subsets themselves, not from the intersection matrices, through
     `_class_data`.  The value x_g of class g is read from row 0's integer,
     as the signed W-bit digit at the first column of that class
-    (`exactmat._read_digits`).
+    (`exactmat._read_digits`); a class absent from the product has the
+    value 0, as a column absent from a row does.
 
     Every row is then compared whole, as one integer: the product's packed
     row (`IntMatrix._packed_form`, one W-bit field per column) against
@@ -218,43 +209,46 @@ def decompose_product(product: IntMatrix, i: int, k: int, v: int) -> dict[int, i
     signed base-2**W digits are unique and equal integers mean equal rows:
     every entry is compared.  A product of `IntMatrix.__matmul__` is read
     in the packing the kernel built and is left packed; a row that differs
-    is read back, and its classes read from the masks again, only to name
-    the fault.  Raises ParameterError if `product` is not constant on
-    intersection classes, i.e. not in the span of the family at all.
+    is read back, with that row of every class pattern, only to name the
+    fault.  Those patterns are the row's classes: `_class_data` has checked
+    every row's class sizes before any row is compared.  Raises
+    ParameterError if `product` is not constant on intersection classes,
+    i.e. not in the span of the family at all.
     """
     nrows, ncols = binomial(v, i), binomial(v, k)
     if product.shape != (nrows, ncols):
         raise ParameterError(f"shape {product.shape} does not match subset sizes ({i}, {k}) of a {v}-set")
     width, packed = product._packed_form()
     firsts, patterns = _class_data(v, i, k, width)
-    # a zero digit reads as None, the value of a column absent from a row
-    digits = _read_digits(width, packed.get(0, 0), ncols, firsts.values())
-    values = {g: x or None for g, x in zip(firsts, digits)}
+    values = dict(zip(firsts, _read_digits(width, packed.get(0, 0), ncols, firsts.values())))
     expected = [0] * nrows  # sum_g x_g * M[g][r] for each row r
     for g, value in values.items():
-        if value is not None:
+        if value:
             pattern = patterns[g]
             scaled = pattern if value == 1 else map(mul, pattern, itertools.repeat(value))
             expected = list(map(add, expected, scaled))
     got = list(map(packed.get, range(nrows), itertools.repeat(0)))
     if got != expected:
         r = next(r for r, (x, y) in enumerate(zip(got, expected)) if x != y)
+        # row r, and row r of every class pattern, read back as {column: entry}
         row = _read_back(width, {r: got[r]}, ncols)[r]
-        raise _class_fault(row, _row_classes(_subset_masks(v, i)[r], _subset_masks(v, k)), values, r)
-    return {g: value for g, value in values.items() if value is not None}
+        classes = _read_back(width, {g: pattern[r] for g, pattern in patterns.items()}, ncols)
+        raise _class_fault(row, classes, values, r)
+    return {g: value for g, value in values.items() if value}
 
 
 def _class_fault(row: dict, classes: dict, values: dict, r: int) -> ParameterError:
     """The error for row r, read back as `row` and split by `classes`, where
-    it differs from the class values `values` read in row 0."""
+    it differs from the class values `values` read in row 0.  A class or a
+    column absent from a row has the value 0."""
     for g, want in values.items():
-        got = list(map(row.get, classes[g]))
+        got = [row.get(c, 0) for c in classes[g]]
         if got != [want] * len(got):
             break
     else:  # only a wrong class pattern gets here
         return ParameterError(f"row {r} reads class-constant but differs from its class pattern")
-    found = [x for x in got if x is not None]
-    held = want if want is not None else found[0]
+    found = [x for x in got if x]
+    held = want or found[0]
     other = next((x for x in found if x != held), None)
     if other is not None:
         return ParameterError(
@@ -262,7 +256,7 @@ def _class_fault(row: dict, classes: dict, values: dict, r: int) -> ParameterErr
         )
     # every pair in class g must carry the value, otherwise part of the class
     # is zero and the matrix is outside the span
-    against = "" if r == 0 else f", against {0 if want is None else len(got)} in row 0"
+    against = "" if r == 0 else f", against {len(got) if want else 0} in row 0"
     return ParameterError(
         f"class {g} only partially covered in row {r} ({len(found)} of {len(got)}{against})"
     )

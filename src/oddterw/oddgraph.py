@@ -23,7 +23,7 @@ from itertools import combinations
 from .combinatorics import SubsetIndex, binomial
 from .errors import GraphStructureError, ParameterError, ShapeError
 from .exactmat import IntMatrix, kron
-from .intersection import intersection_matrix
+from .intersection import HSpec
 from .report import CheckResult
 
 BlockRef = tuple[int, int]
@@ -205,19 +205,22 @@ class OddGraph:
         }
 
 
-def expected_block_factors(m: int, block: BlockRef) -> tuple[IntMatrix, IntMatrix] | None:
-    """The Kronecker factors the adjacency block must equal, or None for zero blocks.
+def expected_block_factors(m: int, block: BlockRef) -> tuple[HSpec, HSpec] | None:
+    """The labels of the Kronecker factors the adjacency block must equal, or
+    None for zero blocks.
 
     Two vertices are adjacent when both their parts inside x and outside x
     are disjoint, so the block is kron(H(a, b, 0, m), H(u, w, 0, m+1)) for
     the part sizes (a, u) and (b, w) of the two classes; it vanishes when no
     such disjoint pair fits.  This is the one rule for which blocks of the
-    adjacency matrix are nonzero: (i, i ± 1) and (m, m).
+    adjacency matrix are nonzero: (i, i ± 1) and (m, m).  The pair has the
+    shape of `projector_factors` and of a `BlockGenerator`'s factors; a
+    caller builds the matrices with `HSpec.build`.
     """
     (a, u), (b, w) = part_sizes(m, block[0]), part_sizes(m, block[1])
     if a + b > m or u + w > m + 1:
         return None
-    return intersection_matrix(a, b, 0, m), intersection_matrix(u, w, 0, m + 1)
+    return HSpec(a, b, 0, m), HSpec(u, w, 0, m + 1)
 
 
 def first_difference(got: dict[int, int], expected: dict[int, int]) -> int | None:
@@ -245,7 +248,7 @@ def verify_adjacency_blocks(graph: OddGraph) -> CheckResult:
     for (bi, bj), got in sorted(blocks.items()):
         factors = expected_block_factors(m, (bi, bj))
         got_vec = got.vectorize()
-        expected = {} if factors is None else kron(*factors).vectorize()
+        expected = {} if factors is None else kron(*(f.build() for f in factors)).vectorize()
         coord = first_difference(got_vec, expected)
         if coord is not None:
             witnesses.append(

@@ -71,8 +71,8 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {"m": self.m, "field": self.field, "checks": [c.to_dict() for c in self.checks]}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def render_text(self) -> str:
         lines = [f"m = {self.m}   field = {self.field}"]

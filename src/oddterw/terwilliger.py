@@ -27,12 +27,16 @@ zero blocks included, so a wrong factor, a stray graph entry or a wrong
 embedding index refuses the graph.  The closure runs sequentially: every
 candidate product is reduced against the basis as soon as it is formed.
 
-Each fact has one implementation here: `generator_span` builds the
-family's span for both the containment and the basis verifier, and every
-verifier embeds a `BlockGenerator` from its two factors, as the closure
-embeds its elements.  Containment of the closure in that span compares the
-two reduced bases row by row (`MatrixSpace.rows_not_stored_in`) and
-reduces only the closure rows the family span does not store.
+Each fact has one implementation here.  Every factor pair, of a
+projector, an adjacency block or a generator, is a pair of `HSpec`
+labels, built into matrices only where a product or an embedding needs
+them.  `generator_span` builds the family's span for both the containment
+and the basis verifier, and every verifier embeds a `BlockGenerator`
+through `_embedded`, from its two factors, as the closure embeds its
+elements.  A closure's dimension is read from its span.  Containment of
+the closure in that span compares the two reduced bases row by row
+(`MatrixSpace.rows_not_stored_in`) and reduces only the closure rows the
+family span does not store.
 `product_order_witnesses` compares (A A) A, whose left factor A^2 is not
 0/1, with A (A A), once per run, for the `closure` check.
 """
@@ -141,14 +145,17 @@ class ClosureResult:
     Once stabilized, left and right multiplication by the adjacency matrix
     and by every distance projector maps the span into itself.
     `missed_words` names the spot-check words found outside the span; it is
-    empty for a sound closure.
+    empty for a sound closure.  `dimension` is read from the span itself.
     """
 
     space: MatrixSpace
-    dimension: int
     rounds: int
     products_computed: int
     missed_words: tuple[str, ...]
+
+    @property
+    def dimension(self) -> int:
+        return self.space.dim
 
 
 def projector_factors(m: int, d: int) -> tuple[HSpec, HSpec]:
@@ -185,8 +192,9 @@ def closure(
     matrix kron(left, right), with `left` on subsets of the base vertex and
     `right` on subsets of its complement.  The seeds are the projector
     factors from `projector_factors` on each diagonal block and the
-    adjacency factor pairs of one table: `expected_block_factors` over all
-    blocks in row-major order, keeping those that are not None.  Each
+    adjacency factor pairs of one table: the `HSpec` pairs of
+    `expected_block_factors` over all blocks in row-major order, keeping
+    those that are not None, each built once into its two matrices.  Each
     element's neighbours are read from the table's keys in that order: one
     on block (p, q) is multiplied on the left by the pairs at (r, p), then
     on the right by those at (q, s).  Products are taken on the small factors,
@@ -221,7 +229,7 @@ def closure(
     space = MatrixSpace(prime=prime)
     # the nonzero blocks in row-major order, so neighbours read from the keys ascend
     factors = {
-        (p, q): pair
+        (p, q): tuple(spec.build() for spec in pair)
         for p in range(m + 1)
         for q in range(m + 1)
         if (pair := expected_block_factors(m, (p, q))) is not None
@@ -287,13 +295,12 @@ def closure(
         word for word, matrix in words.items() if not space.contains_vector(matrix.vectorize())
     )
 
-    return ClosureResult(
-        space=space,
-        dimension=space.dim,
-        rounds=rounds,
-        products_computed=products,
-        missed_words=missed,
-    )
+    return ClosureResult(space=space, rounds=rounds, products_computed=products, missed_words=missed)
+
+
+def _embedded(graph: OddGraph, gen: BlockGenerator) -> dict[int, int]:
+    """The ambient coordinates of one generator, embedded from its two factors."""
+    return graph.embed_vector(gen.left.build(), gen.right.build(), gen.block)
 
 
 def generator_span(
@@ -308,7 +315,7 @@ def generator_span(
     dependent = [
         idx
         for idx, gen in enumerate(gens)
-        if not space.insert_vector(graph.embed_vector(gen.left.build(), gen.right.build(), gen.block))
+        if not space.insert_vector(_embedded(graph, gen))
     ]
     return space, dependent
 
@@ -432,8 +439,7 @@ def verify_generators_in_closure(
     """Every embedded generator lies in the closure span; the negative control does not."""
     witnesses = negative_control_witnesses(graph, clo.space)
     for gen in gens:
-        vec = graph.embed_vector(gen.left.build(), gen.right.build(), gen.block)
-        if not clo.space.contains_vector(vec):
+        if not clo.space.contains_vector(_embedded(graph, gen)):
             witnesses.append({"kind": "generator_outside_closure", "generator": gen.label()})
     return CheckResult.from_witnesses(
         f"containment-span-in-closure[{clo.space.field_name}]",
@@ -521,8 +527,7 @@ def verify_membership_families(graph: OddGraph, clo: ClosureResult) -> CheckResu
     cases = membership_family_cases(graph.m)
     for case in cases:
         gen = case["generator"]
-        vec = graph.embed_vector(gen.left.build(), gen.right.build(), gen.block)
-        if not clo.space.contains_vector(vec):
+        if not clo.space.contains_vector(_embedded(graph, gen)):
             witnesses.append(
                 {
                     "kind": "missing_member",

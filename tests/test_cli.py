@@ -661,6 +661,30 @@ def test_console_entry_point_runs():
     assert "5" in proc.stdout
 
 
+def test_verify_loads_only_the_standard_library(tmp_path):
+    # the runtime stays on the standard library: a child without site-packages
+    # (-S) runs every check, then names each top-level module it loaded
+    child = (
+        "import sys\n"
+        "from oddterw.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted({name.partition('.')[0] for name in sys.modules}))\n"
+        "sys.exit(code)\n"
+    )
+    path = [str(Path(oddterw.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", child, "verify", "--m", "2", "--checks", "all", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loaded - set(sys.stdlib_module_names) == {"oddterw", "__main__"}
+
+
 def test_check_result_witness_truncation():
     witnesses = [{"n": i} for i in range(120)]
     result = CheckResult.from_witnesses("demo", witnesses)

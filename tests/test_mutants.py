@@ -82,6 +82,7 @@ from oddterw import cli, exactmat, intersection, oddgraph, terwilliger
 from oddterw.cli import main
 from oddterw.combinatorics import intersection_range
 from oddterw.exactmat import IntMatrix, MatrixSpace, kron
+from oddterw.intersection import HSpec
 from oddterw.oddgraph import OddGraph
 
 ORIGINAL_MATMUL = IntMatrix.__matmul__
@@ -391,7 +392,8 @@ def factors_with_zero_left_at_1_2(m, block):
     factors = ORIGINAL_FACTORS(m, block)
     if block == (1, 2):
         left, right = factors
-        return IntMatrix.zeros(*left.shape), right
+        # l = -1 is out of range, so this left factor builds as the zero matrix
+        return HSpec(left.i, left.j, -1, left.v), right
     return factors
 
 
@@ -439,7 +441,7 @@ def verify_m3_all(tmp_path, capsys):
          {"closure", "containment-span-in-closure[exact]", "basis[exact]"}, None),
         ([(oddgraph, "kron", kron_indices_swapped), (terwilliger, "kron", kron_indices_swapped)],
          {"blocks"}, None),
-        ([(intersection, "intersection_matrix", l_mirrored), (oddgraph, "intersection_matrix", l_mirrored)],
+        ([(intersection, "intersection_matrix", l_mirrored)],
          {"closure-computation", "blocks", "products"},
          ("closure-computation", "internal", "differs from the graph's projector")),
         ([(cli, "block_generators", family_missing_largest_s)],

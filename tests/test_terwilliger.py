@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import astuple
 from operator import mul
 
 import pytest
@@ -391,7 +392,7 @@ def test_closure_row_the_family_does_not_store_is_reduced(monkeypatch, graph_fac
     vec.update(g.embed_vector(second.left.build(), second.right.build(), second.block))
     space = MatrixSpace(prime=prime)
     space.insert_vector(vec)
-    clo = ClosureResult(space=space, dimension=1, rounds=0, products_computed=0, missed_words=())
+    clo = ClosureResult(space=space, rounds=0, products_computed=0, missed_words=())
     calls = recording_contains(monkeypatch)
     result = verify_closure_in_generator_span(g, clo, block_generators(2))
     assert result.status == "pass"
@@ -501,11 +502,31 @@ def test_inserting_generator_matrices_all_new(graph_factory):
 
 
 def test_membership_case_ranges_m2():
-    cases = membership_family_cases(2)
-    odd_odd = [(c["i"], c["j"], c["l"]) for c in cases if c["family"] == "odd_odd"]
-    odd_even = [(c["i"], c["j"], c["l"]) for c in cases if c["family"] == "odd_even"]
-    assert odd_odd == [(0, 0, 0)]
-    assert odd_even == [(0, 1, 0)]
+    # whole cases, (family, (i, j, l), block, left, right) with H(i, j, l, v)
+    # as (i, j, l, v), at m = 2 and m = 4: a changed factor of either family
+    # passes `verify`, which only asks that each member lie in T
+    expected = {
+        2: [
+            ("odd_odd", (0, 0, 0), (1, 1), (0, 0, 0, 2), (2, 2, 2, 3)),
+            ("odd_even", (0, 1, 0), (1, 2), (0, 1, 0, 2), (2, 1, 0, 3)),
+        ],
+        4: [
+            ("odd_odd", (0, 0, 0), (1, 1), (0, 0, 0, 4), (4, 4, 4, 5)),
+            ("odd_odd", (0, 1, 0), (1, 3), (0, 1, 0, 4), (4, 3, 3, 5)),
+            ("odd_odd", (1, 1, 0), (3, 3), (1, 1, 0, 4), (3, 3, 3, 5)),
+            ("odd_odd", (1, 1, 1), (3, 3), (1, 1, 1, 4), (3, 3, 3, 5)),
+            ("odd_even", (0, 1, 0), (1, 2), (0, 3, 0, 4), (4, 1, 0, 5)),
+            ("odd_even", (0, 2, 0), (1, 4), (0, 2, 0, 4), (4, 2, 1, 5)),
+            ("odd_even", (1, 2, 0), (3, 4), (1, 2, 0, 4), (3, 2, 0, 5)),
+            ("odd_even", (1, 2, 1), (3, 4), (1, 2, 1, 4), (3, 2, 0, 5)),
+        ],
+    }
+    for m, cases in expected.items():
+        assert [
+            (c["family"], (c["i"], c["j"], c["l"]), gen.block, astuple(gen.left), astuple(gen.right))
+            for c in membership_family_cases(m)
+            for gen in (c["generator"],)
+        ] == cases
 
 
 def test_membership_case_ranges_m5():
