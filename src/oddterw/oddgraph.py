@@ -248,7 +248,7 @@ def verify_adjacency_blocks(graph: OddGraph) -> CheckResult:
     for (bi, bj), got in sorted(blocks.items()):
         factors = expected_block_factors(m, (bi, bj))
         got_vec = got.vectorize()
-        expected = {} if factors is None else kron(*(f.build() for f in factors)).vectorize()
+        expected = {} if factors is None else kron(*(spec.build() for spec in factors)).vectorize()
         coord = first_difference(got_vec, expected)
         if coord is not None:
             witnesses.append(
